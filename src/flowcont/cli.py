@@ -6,7 +6,8 @@ flow-continuous), search (find a witness map), construct (build a pair
 realizing a prescribed divisor set), selftest (seeded cross-checks).
 
 Exit codes: 0 yes/pass, 1 no/fail, 2 unknown (budget ran out before a
-decision), 3 usage or input error.  --json prints one JSON object on
+decision), 3 usage or input error, 4 internal error (a crash such as a
+stack overflow; never an answer).  --json prints one JSON object on
 stdout; plain output otherwise.  FF_BUDGET in the environment overrides
 default enumeration budgets, and --budget overrides both.
 
@@ -20,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .algebra import GroupSyntaxError, exponent, parse_group
 from .constructions import DigonFamily, as_digon_union, build_witness, ff_set_digons, verify_witness
@@ -29,12 +30,11 @@ from .decide import (
     constant_map,
     ff_gcd,
     format_edge_map,
+    gcd_and_certificate,
     index_bijection,
-    is_ff_group,
-    is_ff_n,
     parse_edge_map,
 )
-from .ffsets import DEFAULT_MAP_BUDGET, count_ff_maps, exists_ff_map, ff_set_of_graphs, ff_set_of_map
+from .ffsets import DEFAULT_MAP_BUDGET, FFSet, count_ff_maps, exists_ff_map, ff_set_of_graphs
 from .flows import BudgetExceededError
 from .graphs import (
     BUILTIN_NAMES,
@@ -51,6 +51,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
@@ -139,23 +140,15 @@ def cmd_check(args) -> CommandResult:
     target = parse_graph_argument(args.h)
     f = parse_map_argument(args.map, source, target)
     m = parse_group(args.group)
-    gcd_value = ff_gcd(f)
-    ok = is_ff_group(f, m)
-    payload = {"group": str(m), "gcd": gcd_value, "ff": ok}
-    if ok:
+    # only the exponent matters; an infinite one behaves like Z (modulus 0)
+    gcd_value, certificate = gcd_and_certificate(f, exponent(m) or 0)
+    payload = {"group": str(m), "gcd": gcd_value, "ff": certificate is None}
+    if certificate is None:
         return CommandResult(
             "yes", payload, EXIT_YES,
             (f"yes: flow-continuous over {m} (discrepancy gcd {gcd_value})",),
         )
-    e = exponent(m)
-    certificate = is_ff_n(f, 0 if e is None else e)[1]
-    assert certificate is not None
-    payload["certificate"] = {
-        "vertex": certificate.vertex,
-        "circuit": certificate.circuit,
-        "value": certificate.value,
-        "modulus": certificate.modulus,
-    }
+    payload["certificate"] = asdict(certificate)
     return CommandResult(
         "no", payload, EXIT_NO,
         (
@@ -185,8 +178,9 @@ def cmd_ffset(args) -> CommandResult:
     budget = _budget_from(args)
     if args.map is not None:
         f = parse_map_argument(args.map, source, target)
-        ff_set = ff_set_of_map(f)
-        extra = {"gcd": ff_gcd(f), "budget_state": {"budget": budget, "maps_covered": 1}}
+        gcd_value = ff_gcd(f)
+        ff_set = FFSet.from_gcds([gcd_value])
+        extra = {"gcd": gcd_value, "budget_state": {"budget": budget, "maps_covered": 1}}
         payload, lines = _ffset_payload(ff_set, extra)
         return CommandResult("yes", payload, EXIT_YES, lines)
     if args.digons:
@@ -375,7 +369,7 @@ def _emit(result: CommandResult, json_mode: bool) -> None:
     if json_mode:
         print(json.dumps({"status": result.status, **result.payload}, sort_keys=True))
         return
-    stream = sys.stderr if result.exit_code == EXIT_USAGE else sys.stdout
+    stream = sys.stderr if result.status == "error" else sys.stdout
     for line in result.lines:
         print(line, file=stream)
 
@@ -391,6 +385,10 @@ def main(argv=None) -> int:
         )
     except (GraphFormatError, GroupSyntaxError, ValueError, OSError) as exc:
         result = CommandResult("error", {"message": str(exc)}, EXIT_USAGE, (f"error: {exc}",))
+    except Exception as exc:
+        # RecursionError and MemoryError included: exit 1 must stay a proven "no"
+        message = f"internal error: {type(exc).__name__}: {exc}".splitlines()[0]
+        result = CommandResult("error", {"message": message}, EXIT_INTERNAL, (message,))
     _emit(result, args.json)
     return result.exit_code
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import cone_member, divisors, next_prime_above
 from .decide import EdgeMap, ff_gcd
-from .ffsets import FFSet
+from .ffsets import FFSet, _antichain
 from .graphs import MultiDigraph, digon, disjoint_union
 
 
@@ -196,13 +196,6 @@ class WitnessPlan:
         }
 
 
-def _maximal_under_divisibility(values) -> tuple[int, ...]:
-    kept = set(values)
-    return tuple(
-        sorted(x for x in kept if not any(y != x and y % x == 0 for y in kept))
-    )
-
-
 def build_witness(targets) -> tuple[MultiDigraph, MultiDigraph, WitnessPlan]:
     """Digraphs (G, H) with FF(G,H) = {s : s divides some member of targets}.
 
@@ -218,7 +211,7 @@ def build_witness(targets) -> tuple[MultiDigraph, MultiDigraph, WitnessPlan]:
         plan = WitnessPlan((), None, None, (1,), ())
         return digon(1), MultiDigraph(0, ()), plan
 
-    reduced = _maximal_under_divisibility(values)
+    reduced = tuple(sorted(_antichain(values)))
     prime = next_prime_above(4 * max(reduced))
     companion = 5 * prime // 4 + 1
     if not (4 * companion > 5 * prime and 2 * companion < 3 * prime):

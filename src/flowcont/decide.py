@@ -4,30 +4,26 @@ An edge map f sends each edge of a source digraph G to an edge of a target
 digraph H.  It is n-flow-continuous (FF_n) when every Z_n-flow on H pulls
 back along f to a Z_n-flow on G, and FF_Z when that holds over the
 integers.  The whole family of these questions collapses to one integer:
-the gcd g of the discrepancy matrix.  f is FF_n iff n divides g, and FF_Z
+the gcd g of the discrepancy matrix D.  f is FF_n iff n divides g, and FF_Z
 iff g = 0.
 
 Why this works: pulling back phi and applying Kirchhoff at a source vertex
 v evaluates the pushforward of the star tension at v against phi, and the
 flows on H are exactly the coefficient combinations of its fundamental
 circuits.  So FF holds iff every (star tension, circuit) pairing vanishes
-modulo n.  The brute-force oracle below re-checks the definition with no
-shortcuts and must never be folded into the gcd route.
+modulo n.  D = S P C (source incidence, pushforward of f, target circuits)
+is never multiplied out: row i of P C is row f(i) of C, so D is a gather
+of C's rows added at each source edge's tail and subtracted at its head,
+O(E_G * cyc_H) in all.  The brute-force oracle below re-checks the
+definition with no shortcuts and must never be folded into the gcd route.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Group, exponent, gcd_all
-from .flows import (
-    DEFAULT_FLOW_BUDGET,
-    GroupVector,
-    circuit_matrix,
-    enumerate_flows,
-    incidence_matrix,
-    is_flow,
-)
+from .algebra import Group, exponent
+from .flows import DEFAULT_FLOW_BUDGET, GroupVector, circuit_matrix, enumerate_flows, is_flow
 from .graphs import MultiDigraph, SignedEdgeVector
 
 
@@ -141,20 +137,29 @@ class FailureCertificate:
     modulus: int
 
 
-def discrepancy(f: EdgeMap) -> DiscrepancyMatrix:
-    """The full discrepancy matrix of f.
+def _discrepancy_array(f: EdgeMap) -> np.ndarray:
+    # flat indices take numpy's fast ufunc.at path; chunks bound the memory
+    circ = circuit_matrix(f.target)
+    width = circ.shape[1]
+    assignment = np.asarray(f.assignment, dtype=np.intp)
+    starts = np.asarray(f.source.edges, dtype=np.intp).reshape(-1, 2) * width
+    columns = np.arange(width, dtype=np.intp)
+    d = np.zeros(f.source.vertex_count * width, dtype=np.int64)
+    step = max(1, 2**18 // max(1, width))
+    for lo in range(0, len(assignment), step):
+        rows = circ[assignment[lo : lo + step]].ravel()
+        np.add.at(d, (starts[lo : lo + step, :1] + columns).ravel(), rows)
+        np.subtract.at(d, (starts[lo : lo + step, 1:] + columns).ravel(), rows)
+    return d.reshape(f.source.vertex_count, width)
 
-    Computed as S P C where S stacks the star tensions of the source,
-    P is the 0/1 pushforward matrix of f, and C has the fundamental
-    circuits of the target as columns.  Entries are bounded by the source
-    edge count, so int64 is exact.
+
+def discrepancy(f: EdgeMap) -> DiscrepancyMatrix:
+    """The full discrepancy matrix D = S P C of f, as Python ints.
+
+    Source edge i adds row f(i) of C at its tail and subtracts it at its
+    head, O(E_G * cyc_H) in all; entries stay within E_G, exact in int64.
     """
-    stars = incidence_matrix(f.source)
-    push = np.zeros((f.source.num_edges, f.target.num_edges), dtype=np.int64)
-    for i, j in enumerate(f.assignment):
-        push[i, j] = 1
-    product = stars @ push @ circuit_matrix(f.target)
-    return DiscrepancyMatrix(tuple(tuple(int(x) for x in row) for row in product))
+    return DiscrepancyMatrix(tuple(map(tuple, _discrepancy_array(f).tolist())))
 
 
 def ff_gcd(f: EdgeMap) -> int:
@@ -163,16 +168,23 @@ def ff_gcd(f: EdgeMap) -> int:
     g = 0 (the gcd of an empty or all-zero matrix) means f is FF_Z and
     hence flow-continuous over every group.
     """
-    return gcd_all(x for row in discrepancy(f).entries for x in row)
+    return int(np.gcd.reduce(_discrepancy_array(f), axis=None))
 
 
-def _first_failure(matrix: DiscrepancyMatrix, n: int) -> FailureCertificate | None:
-    # row-major scan, so certificates are deterministic
-    for v, row in enumerate(matrix.entries):
-        for c, value in enumerate(row):
-            if (value % n != 0) if n else (value != 0):
-                return FailureCertificate(vertex=v, circuit=c, value=value, modulus=n)
-    return None
+def gcd_and_certificate(f: EdgeMap, n: int) -> tuple[int, FailureCertificate | None]:
+    """ff_gcd(f), and the first entry not divisible by n (n = 0: nonzero).
+
+    Both come from one evaluation of the discrepancy matrix.
+    """
+    if n < 0:
+        raise ValueError(f"modulus must be nonnegative, got {n}")
+    d = _discrepancy_array(f)
+    g = int(np.gcd.reduce(d, axis=None))
+    if (g % n if n else g) == 0:
+        return g, None
+    # row-major, so certificates are deterministic
+    v, c = divmod(int(np.flatnonzero(d % n if n else d)[0]), d.shape[1])
+    return g, FailureCertificate(vertex=v, circuit=c, value=int(d[v, c]), modulus=n)
 
 
 def is_ff_n(f: EdgeMap, n: int) -> tuple[bool, FailureCertificate | None]:
@@ -180,9 +192,7 @@ def is_ff_n(f: EdgeMap, n: int) -> tuple[bool, FailureCertificate | None]:
 
     n = 0 is accepted as shorthand for the integers.
     """
-    if n < 0:
-        raise ValueError(f"modulus must be nonnegative, got {n}")
-    certificate = _first_failure(discrepancy(f), n)
+    certificate = gcd_and_certificate(f, n)[1]
     return certificate is None, certificate
 
 
@@ -197,10 +207,7 @@ def is_ff_group(f: EdgeMap, m: Group) -> bool:
     A finite group with exponent e behaves exactly like Z_e, and any group
     with a free part behaves like Z.
     """
-    e = exponent(m)
-    if e is None:
-        return is_ff_z(f)
-    return is_ff_n(f, e)[0]
+    return is_ff_n(f, exponent(m) or 0)[0]
 
 
 def pull_back(f: EdgeMap, phi: GroupVector) -> GroupVector:

@@ -66,10 +66,11 @@ def incidence_matrix(g: MultiDigraph) -> np.ndarray:
 
 def circuit_matrix(g: MultiDigraph) -> np.ndarray:
     """Edge-by-circuit matrix of fundamental circuit coefficients."""
-    circuits = spanning_structure(g).fundamental_circuits
+    circuits = spanning_structure(g).circuits
     mat = np.zeros((g.num_edges, len(circuits)), dtype=np.int64)
-    for j, circuit in enumerate(circuits):
-        mat[:, j] = circuit
+    for j, steps in enumerate(circuits):
+        for edge, sign in steps:
+            mat[edge, j] = sign
     return mat
 
 
@@ -100,11 +101,10 @@ def is_tension(g: MultiDigraph, tau: Sequence, m: Group) -> bool:
     """
     _check_dimension(g, tau)
     vec = group_vector(m, tau)
-    for circuit in spanning_structure(g).fundamental_circuits:
+    for steps in spanning_structure(g).circuits:
         total = m.zero()
-        for value, coefficient in zip(vec, circuit):
-            if coefficient:
-                total = m.add(total, m.scale(coefficient, value))
+        for edge, sign in steps:
+            total = m.add(total, m.scale(sign, vec[edge]))
         if not m.is_zero(total):
             return False
     return True
@@ -127,7 +127,7 @@ def enumerate_flows(
     order of the coefficient tuples (cyclic factors ordered as given).
     """
     order = _require_finite(m)
-    circuits = spanning_structure(g).fundamental_circuits
+    circuits = spanning_structure(g).circuits
     needed = order ** len(circuits)
     if needed > budget:
         raise BudgetExceededError(needed, budget)
@@ -136,10 +136,9 @@ def enumerate_flows(
     elements = list(m.elements())
     for coefficients in itertools.product(elements, repeat=len(circuits)):
         flow = [m.zero()] * num_edges
-        for coefficient, circuit in zip(coefficients, circuits):
-            for i, sign in enumerate(circuit):
-                if sign:
-                    flow[i] = m.add(flow[i], m.scale(sign, coefficient))
+        for coefficient, steps in zip(coefficients, circuits):
+            for i, sign in steps:
+                flow[i] = m.add(flow[i], m.scale(sign, coefficient))
         yield tuple(flow)
 
 

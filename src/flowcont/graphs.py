@@ -15,7 +15,6 @@ All values are immutable after construction and safe to share between
 threads.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -67,20 +66,32 @@ class MultiDigraph:
 class SpanningStructure:
     """Deterministic spanning forest plus one circuit per non-forest edge.
 
-    ``fundamental_circuits[j]`` is a dense signed edge vector; its non-forest
-    edge carries coefficient +1 and the forest path closing the circuit
-    carries +1/-1 according to traversal direction.  A loop is its own
-    circuit of length 1.  Circuits are listed by increasing non-forest edge
-    index, so the number of circuits is the cyclomatic number
-    ``|E| - |V| + components``.
+    ``circuits[j]`` lists the ``(edge, sign)`` steps of circuit j: its
+    non-forest edge at +1, then the edges of the forest path from that
+    edge's head back to its tail, each at +1/-1 according to traversal
+    direction.  A loop is its own circuit of length 1.  Circuits are
+    listed by increasing non-forest edge index, so the number of circuits
+    is the cyclomatic number ``|E| - |V| + components``.
     """
 
+    edge_count: int
     forest_edges: frozenset[int]
-    fundamental_circuits: tuple[SignedEdgeVector, ...]
+    circuits: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def cyclomatic_number(self) -> int:
-        return len(self.fundamental_circuits)
+        return len(self.circuits)
+
+    @property
+    def fundamental_circuits(self) -> tuple[SignedEdgeVector, ...]:
+        """The circuits as dense signed edge vectors."""
+        dense = []
+        for steps in self.circuits:
+            coefficients = [0] * self.edge_count
+            for edge, sign in steps:
+                coefficients[edge] = sign
+            dense.append(tuple(coefficients))
+        return tuple(dense)
 
 
 def parse_digraph(text: str) -> MultiDigraph:
@@ -190,63 +201,55 @@ def disjoint_union(parts: Iterable[MultiDigraph]) -> MultiDigraph:
 def spanning_structure(g: MultiDigraph) -> SpanningStructure:
     """Spanning forest by lowest-index-first growth, plus fundamental circuits.
 
-    Deterministic: equal graphs always produce identical structures.
+    One pass roots each tree of the forest, recording every vertex's
+    parent, the edge up to it and its depth; a circuit then walks from its
+    edge's head and tail up to their common ancestor.  Deterministic: equal
+    graphs always produce identical structures.
     """
-    parent = list(range(g.vertex_count))
+    root = list(range(g.vertex_count))
 
     def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
         return v
 
     forest: list[int] = []
     non_forest: list[int] = []
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
     for i, (tail, head) in enumerate(g.edges):
         a, b = find(tail), find(head)
         if a == b:
             non_forest.append(i)
         else:
-            parent[a] = b
+            root[a] = b
             forest.append(i)
+            adj[tail].append((head, i))
+            adj[head].append((tail, i))
 
-    # forest adjacency: vertex -> [(edge index, neighbour, sign when leaving vertex)]
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.vertex_count)]
-    for i in forest:
-        tail, head = g.edges[i]
-        adj[tail].append((i, head, +1))
-        adj[head].append((i, tail, -1))
+    # iterative, so deep trees cannot overflow the stack; a root is its own parent
+    parent, parent_edge, depth = ([-1] * g.vertex_count for _ in range(3))
+    for r in range(g.vertex_count):
+        if parent[r] < 0:
+            parent[r], depth[r] = r, 0
+            stack = [r]
+            while stack:
+                v = stack.pop()
+                for w, edge in adj[v]:
+                    if parent[w] < 0:
+                        parent[w], parent_edge[w], depth[w] = v, edge, depth[v] + 1
+                        stack.append(w)
 
-    def forest_path(start: int, goal: int) -> list[tuple[int, int]]:
-        """Unique forest path start -> goal as (edge index, sign) steps."""
-        if start == goal:
-            return []
-        prev: dict[int, tuple[int, int, int]] = {start: (-1, -1, 0)}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            if v == goal:
-                break
-            for edge, other, sign in adj[v]:
-                if other not in prev:
-                    prev[other] = (v, edge, sign)
-                    queue.append(other)
-        steps = []
-        v = goal
-        while v != start:
-            before, edge, sign = prev[v]
-            steps.append((edge, sign))
-            v = before
-        steps.reverse()
-        return steps
-
-    circuits: list[SignedEdgeVector] = []
+    circuits = []
     for i in non_forest:
-        coefficients = [0] * g.num_edges
-        coefficients[i] = 1
-        tail, head = g.edges[i]
-        for edge, sign in forest_path(head, tail):
-            coefficients[edge] = sign
-        circuits.append(tuple(coefficients))
+        steps, (w, u) = [(i, 1)], g.edges[i]
+        while u != w:  # up from the head u, down to the tail w
+            if depth[u] >= depth[w]:
+                e, u = parent_edge[u], parent[u]
+                steps.append((e, 1 if g.edges[e][1] == u else -1))
+            else:
+                e, w = parent_edge[w], parent[w]
+                steps.append((e, 1 if g.edges[e][0] == w else -1))
+        circuits.append(tuple(steps))
+    return SpanningStructure(g.num_edges, frozenset(forest), tuple(circuits))
 
-    return SpanningStructure(frozenset(forest), tuple(circuits))

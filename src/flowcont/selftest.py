@@ -51,7 +51,7 @@ def random_multidigraph(
         edges.append((tail, head))
     g = MultiDigraph(vertex_count, tuple(edges))
     if max_cyclomatic is not None:
-        while len(spanning_structure(g).fundamental_circuits) > max_cyclomatic:
+        while spanning_structure(g).cyclomatic_number > max_cyclomatic:
             edges.pop(rng.randrange(len(edges)))
             g = MultiDigraph(vertex_count, tuple(edges))
     return g

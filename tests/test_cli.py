@@ -281,3 +281,55 @@ def test_json_errors_go_to_stdout(capsys):
     )
     assert code == 3
     assert record["status"] == "error" and "nope" in record["message"]
+
+
+def test_check_builds_discrepancy_and_circuits_once(capsys, monkeypatch):
+    import flowcont.decide
+    import flowcont.flows
+
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(flowcont.decide, "_discrepancy_array")
+    count(flowcont.flows, "spanning_structure")
+    # a yes, and a no that also needs its certificate
+    for group, expected_code in (("Z2", 0), ("Z3", 1)):
+        calls.clear()
+        code, _, _ = run_cli(
+            capsys, "check", "--g", "k4", "--h", "digon:3", "--map", COLORING, "--group", group
+        )
+        assert code == expected_code
+        assert calls == {"_discrepancy_array": 1, "spanning_structure": 1}
+
+
+CRASHING_SEARCH = ("search", "--g", "dicycle:1200", "--h", "k4", "--n", "2")
+
+
+def test_internal_error_exits_4_without_traceback():
+    # the recursive witness search overflows the stack on a long cycle;
+    # that is a failure of the program, not a proven "no" (exit 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowcont.cli", *CRASHING_SEARCH],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == cli.EXIT_INTERNAL == 4
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("internal error: RecursionError")
+
+
+def test_internal_error_json_status(capsys):
+    code, record, _ = run_json(capsys, *CRASHING_SEARCH)
+    assert code == 4
+    assert record["status"] == "error"
+    assert record["message"].startswith("internal error: RecursionError")
+    assert "\n" not in record["message"]

@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcont.algebra import parse_group
 from flowcont.decide import (
     EdgeMap,
+    FailureCertificate,
     algebraic_image,
     constant_map,
     discrepancy,
@@ -22,7 +24,7 @@ from flowcont.decide import (
     pull_back,
     refuting_flows,
 )
-from flowcont.graphs import MultiDigraph, dicycle, digon, k4, loop
+from flowcont.graphs import MultiDigraph, dicycle, digon, k4, loop, spanning_structure
 
 
 def bijection_d3_c3():
@@ -259,3 +261,82 @@ def test_reversal_can_change_gcd():
     assert ff_gcd(f) == 0
     flipped = EdgeMap(f.source.reverse_edge(1), f.target, f.assignment)
     assert ff_gcd(flipped) == 2
+
+
+@st.composite
+def small_edge_maps(draw):
+    """Maps between tiny multigraphs; few vertices make loops and parallel
+    edges common."""
+
+    def graph(min_edges, max_edges):
+        v = draw(st.integers(1, 4))
+        ends = st.tuples(st.integers(0, v - 1), st.integers(0, v - 1))
+        return MultiDigraph(v, tuple(draw(st.lists(ends, min_size=min_edges, max_size=max_edges))))
+
+    g, h = graph(0, 8), graph(1, 6)
+    index = st.integers(0, h.num_edges - 1)
+    assignment = draw(st.lists(index, min_size=g.num_edges, max_size=g.num_edges))
+    return EdgeMap(g, h, tuple(assignment))
+
+
+def dense_discrepancy(f):
+    """S P C multiplied out: incidence, 0/1 pushforward, circuit columns."""
+    g, h = f.source, f.target
+    stars = np.zeros((g.vertex_count, g.num_edges), dtype=np.int64)
+    for i, (tail, head) in enumerate(g.edges):
+        stars[tail, i] += 1
+        stars[head, i] -= 1
+    push = np.zeros((g.num_edges, h.num_edges), dtype=np.int64)
+    for i, j in enumerate(f.assignment):
+        push[i, j] = 1
+    circuits = spanning_structure(h).fundamental_circuits
+    circ = np.zeros((h.num_edges, len(circuits)), dtype=np.int64)
+    for c, circuit in enumerate(circuits):
+        circ[:, c] = circuit
+    return tuple(tuple(int(x) for x in row) for row in stars @ push @ circ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_edge_maps())
+def test_gather_route_matches_dense_product(f):
+    dense = dense_discrepancy(f)
+    assert discrepancy(f).entries == dense
+    assert ff_gcd(f) == math.gcd(*(x for row in dense for x in row))
+    for n in (0, 2, 3, 4, 6):
+        failures = [
+            FailureCertificate(v, c, x, n)
+            for v, row in enumerate(dense)
+            for c, x in enumerate(row)
+            if (x % n if n else x)
+        ]
+        ok, certificate = is_ff_n(f, n)
+        assert ok == (not failures)
+        assert certificate == (failures[0] if failures else None)
+
+
+def subdivided_copy(target, edge_count, rng):
+    """Each target edge becomes a path of about edge_count / |E(H)| edges,
+    mapped back onto it, with the source edges shuffled.  FF_Z: a target
+    flow pulls back to one constant value along each path."""
+    per_edge, extra = divmod(edge_count, target.num_edges)
+    vertex_count, pieces = target.vertex_count, []
+    for j, (tail, head) in enumerate(target.edges):
+        path = [tail] + list(range(vertex_count, vertex_count + per_edge + (j < extra) - 1)) + [head]
+        vertex_count += len(path) - 2
+        pieces.extend((a, b, j) for a, b in zip(path, path[1:]))
+    rng.shuffle(pieces)
+    source = MultiDigraph(vertex_count, tuple((a, b) for a, b, _ in pieces))
+    return EdgeMap(source, target, tuple(j for _, _, j in pieces))
+
+
+def test_large_ff_z_maps_have_gcd_zero():
+    # sizes at which multiplying out the dense S P C took minutes and gigabytes
+    cycle = dicycle(2000)
+    assert ff_gcd(index_bijection(cycle, cycle)) == 0
+    rng = random.Random(11)
+    tree = [(v, rng.randrange(v)) for v in range(1, 20)]
+    extra = [(rng.randrange(20), rng.randrange(20)) for _ in range(41)]
+    f = subdivided_copy(MultiDigraph(20, tuple(tree + extra)), 10_000, rng)
+    assert f.source.num_edges == 10_000
+    assert ff_gcd(f) == 0
+    assert is_ff_n(f, 0) == (True, None)
