@@ -103,7 +103,7 @@ def algebraic_image(f: EdgeMap, tau: SignedEdgeVector) -> SignedEdgeVector:
     return tuple(image)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscrepancyMatrix:
     """Pairing of pushed-forward star tensions with target circuits.
 
@@ -112,15 +112,19 @@ class DiscrepancyMatrix:
     flow-continuity is encoded in the divisibility of these entries.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    array: np.ndarray
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.array.tolist()))
 
     @property
     def num_rows(self) -> int:
-        return len(self.entries)
+        return self.array.shape[0]
 
     @property
     def num_cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return self.array.shape[1] if self.array.shape[0] else 0
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,12 @@ class FailureCertificate:
     modulus: int
 
 
-def _discrepancy_array(f: EdgeMap) -> np.ndarray:
+def discrepancy(f: EdgeMap) -> DiscrepancyMatrix:
+    """The discrepancy matrix D = S P C of f, built without multiplying out.
+
+    Source edge i adds row f(i) of C at its tail and subtracts it at its
+    head, O(E_G * cyc_H) in all; entries stay within E_G, exact in int64.
+    """
     # flat indices take numpy's fast ufunc.at path; chunks bound the memory
     circ = circuit_matrix(f.target)
     width = circ.shape[1]
@@ -150,16 +159,7 @@ def _discrepancy_array(f: EdgeMap) -> np.ndarray:
         rows = circ[assignment[lo : lo + step]].ravel()
         np.add.at(d, (starts[lo : lo + step, :1] + columns).ravel(), rows)
         np.subtract.at(d, (starts[lo : lo + step, 1:] + columns).ravel(), rows)
-    return d.reshape(f.source.vertex_count, width)
-
-
-def discrepancy(f: EdgeMap) -> DiscrepancyMatrix:
-    """The full discrepancy matrix D = S P C of f, as Python ints.
-
-    Source edge i adds row f(i) of C at its tail and subtracts it at its
-    head, O(E_G * cyc_H) in all; entries stay within E_G, exact in int64.
-    """
-    return DiscrepancyMatrix(tuple(map(tuple, _discrepancy_array(f).tolist())))
+    return DiscrepancyMatrix(d.reshape(f.source.vertex_count, width))
 
 
 def ff_gcd(f: EdgeMap) -> int:
@@ -168,7 +168,7 @@ def ff_gcd(f: EdgeMap) -> int:
     g = 0 (the gcd of an empty or all-zero matrix) means f is FF_Z and
     hence flow-continuous over every group.
     """
-    return int(np.gcd.reduce(_discrepancy_array(f), axis=None))
+    return int(np.gcd.reduce(discrepancy(f).array, axis=None))
 
 
 def gcd_and_certificate(f: EdgeMap, n: int) -> tuple[int, FailureCertificate | None]:
@@ -178,7 +178,7 @@ def gcd_and_certificate(f: EdgeMap, n: int) -> tuple[int, FailureCertificate | N
     """
     if n < 0:
         raise ValueError(f"modulus must be nonnegative, got {n}")
-    d = _discrepancy_array(f)
+    d = discrepancy(f).array
     g = int(np.gcd.reduce(d, axis=None))
     if (g % n if n else g) == 0:
         return g, None

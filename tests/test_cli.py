@@ -298,7 +298,7 @@ def test_check_builds_discrepancy_and_circuits_once(capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(flowcont.decide, "_discrepancy_array")
+    count(flowcont.decide, "discrepancy")
     count(flowcont.flows, "spanning_structure")
     # a yes, and a no that also needs its certificate
     for group, expected_code in (("Z2", 0), ("Z3", 1)):
@@ -307,7 +307,7 @@ def test_check_builds_discrepancy_and_circuits_once(capsys, monkeypatch):
             capsys, "check", "--g", "k4", "--h", "digon:3", "--map", COLORING, "--group", group
         )
         assert code == expected_code
-        assert calls == {"_discrepancy_array": 1, "spanning_structure": 1}
+        assert calls == {"discrepancy": 1, "spanning_structure": 1}
 
 
 CRASHING_SEARCH = ("search", "--g", "dicycle:1200", "--h", "k4", "--n", "2")
@@ -333,3 +333,18 @@ def test_internal_error_json_status(capsys):
     assert record["status"] == "error"
     assert record["message"].startswith("internal error: RecursionError")
     assert "\n" not in record["message"]
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_any_handler_crash_exits_4(capsys, monkeypatch, error):
+    def crash(args):
+        raise error("two\nlines")
+
+    monkeypatch.setattr(cli, "cmd_check", crash)
+    argv = ("check", "--g", "k4", "--h", "digon:3", "--map", COLORING, "--group", "Z2")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err == f"internal error: {error.__name__}: two\n"
+    code, record, _ = run_json(capsys, *argv)
+    assert code == 4
+    assert record == {"status": "error", "message": f"internal error: {error.__name__}: two"}

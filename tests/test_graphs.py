@@ -200,42 +200,23 @@ def test_circuits_orthogonal_to_stars():
 
 @given(st.data())
 def test_random_graph_circuit_count_and_orthogonality(data):
-    from flowcont.flows import star_tension
+    from flowcont.flows import circuit_matrix, star_tension
 
-    vertex_count = data.draw(st.integers(1, 5))
+    vertex_count = data.draw(st.integers(1, 6))
     edges = data.draw(
         st.lists(
             st.tuples(st.integers(0, vertex_count - 1), st.integers(0, vertex_count - 1)),
-            max_size=7,
+            max_size=10,
         )
     )
     g = MultiDigraph(vertex_count, tuple(edges))
     s = spanning_structure(g)
     assert len(s.forest_edges) + len(s.fundamental_circuits) == g.num_edges
-    for circuit in s.fundamental_circuits:
-        for v in range(vertex_count):
-            assert sum(a * b for a, b in zip(star_tension(g, v), circuit)) == 0
-
-
-@given(st.data())
-def test_fundamental_circuits_are_integer_flows(data):
-    from flowcont.flows import circuit_matrix
-
-    vertex_count = data.draw(st.integers(1, 6))
-    ends = st.tuples(st.integers(0, vertex_count - 1), st.integers(0, vertex_count - 1))
-    g = MultiDigraph(vertex_count, tuple(data.draw(st.lists(ends, max_size=10))))
-    s = spanning_structure(g)
     non_forest = [i for i in range(g.num_edges) if i not in s.forest_edges]
     # one circuit per non-forest edge, in increasing edge order
-    assert len(s.fundamental_circuits) == len(non_forest)
     for i, circuit in zip(non_forest, s.fundamental_circuits):
         assert set(circuit) <= {-1, 0, 1}
         assert [circuit[j] for j in non_forest] == [int(j == i) for j in non_forest]
-        # Kirchhoff over the integers at every vertex
-        net = [0] * vertex_count
-        for value, (tail, head) in zip(circuit, g.edges):
-            net[tail] += value
-            net[head] -= value
-        assert net == [0] * vertex_count
+        for v in range(vertex_count):
+            assert sum(a * b for a, b in zip(star_tension(g, v), circuit)) == 0
     assert circuit_matrix(g).T.tolist() == [list(c) for c in s.fundamental_circuits]
-
