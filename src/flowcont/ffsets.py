@@ -6,16 +6,16 @@ every edge map from G to H, which makes it a down-set under divisibility:
 either all of N (some map is FF_Z) or finite, and in the finite case it
 is represented by its divisibility-maximal elements.
 
-Map spaces have size |E(H)| ** |E(G)|, so exhaustive work is bounded by a
-budget (default 10**8 conceptual map evaluations).  The level-by-level
-evaluator below merges partial discrepancy states that can never diverge
-again, which keeps full scans exact while visiting far fewer states than
-there are maps; a direct per-map evaluator covers small spaces and serves
-as its cross-check.
+So one histogram, gcd -> number of maps attaining it, answers every
+whole-space question here: the set, the count over a group, and the
+below-degree equivalence check.  It comes from one frontier pass over the
+source edges that folds each finished discrepancy row into a running gcd
+and merges equal states, so it is exact while keeping far fewer states
+than there are maps.  Map spaces have size |E(H)| ** |E(G)|, and every
+scan still refuses a space above its budget (default 10**8 maps).
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +26,6 @@ from .flows import BudgetExceededError, circuit_matrix, enumerate_flows, inciden
 from .graphs import MultiDigraph
 
 DEFAULT_MAP_BUDGET = 10**8
-
-# rows materialized at once by the merged evaluator before deduplication
-_CHUNK_ROWS = 4_000_000
 
 
 def _antichain(values) -> frozenset[int]:
@@ -128,161 +125,82 @@ def _check_map_budget(g: MultiDigraph, h: MultiDigraph, budget: int) -> None:
         raise BudgetExceededError(size, budget, what="maps")
 
 
-def _matrix_width(g: MultiDigraph, h: MultiDigraph) -> int:
-    return g.vertex_count * circuit_matrix(h).shape[1]
+def _gcd_counts(g: MultiDigraph, h: MultiDigraph) -> dict[int, int]:
+    """Map gcd -> number of edge maps G -> H attaining it, exactly.
 
-
-def _gcds_for_range(g: MultiDigraph, h: MultiDigraph, start: int, stop: int) -> np.ndarray:
-    """Discrepancy gcds of maps start..stop-1 in lexicographic order."""
-    eg, eh = g.num_edges, h.num_edges
-    count = stop - start
-    stars = incidence_matrix(g)
-    circ = circuit_matrix(h)
-    width = stars.shape[0] * circ.shape[1]
-    if width == 0:
-        return np.zeros(count, dtype=np.int64)
-    index = np.arange(start, stop, dtype=np.int64)
-    total = np.zeros((count, stars.shape[0], circ.shape[1]), dtype=np.int32)
-    for i in range(eg):
-        digit = (index // eh ** (eg - 1 - i)) % eh
-        total += stars[:, i][None, :, None].astype(np.int32) * circ[digit][:, None, :].astype(np.int32)
-    return np.gcd.reduce(np.abs(total.reshape(count, width)).astype(np.int64), axis=1)
-
-
-def _edge_components(g: MultiDigraph) -> list[tuple[list[int], list[int]]]:
-    """(edge indices, vertex indices) per connected component with edges."""
-    parent = list(range(g.vertex_count))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for tail, head in g.edges:
-        parent[find(tail)] = find(head)
-    edges_by_root: dict[int, list[int]] = {}
-    for i, (tail, _) in enumerate(g.edges):
-        edges_by_root.setdefault(find(tail), []).append(i)
-    vertices_by_root: dict[int, list[int]] = {}
-    for v in range(g.vertex_count):
-        vertices_by_root.setdefault(find(v), []).append(v)
-    return [
-        (edges, vertices_by_root[root])
-        for root, edges in sorted(edges_by_root.items())
-    ]
-
-
-def _component_gcd_counts(
-    stars: np.ndarray, circ: np.ndarray, edge_indices: list[int]
-) -> dict[int, int]:
-    """gcd -> map count for one source component, by merged level scan.
-
-    Walks the component's edges in index order; a state is the partial
-    block of discrepancy rows, and coinciding states are merged with
-    their map counts added.  Exact because remaining levels only ever add
-    to the block, so equal partial states have identical futures.
+    One frontier pass over the non-loop source edges in index order.  A
+    state is (g, open rows): the discrepancy rows of the source vertices
+    that still have an edge to come, and the gcd g of the rows already
+    closed.  Sending edge i to target edge j adds row j of the circuit
+    matrix at i's tail and subtracts it at i's head.  After a vertex's
+    last edge its row can change no more, so it is folded into g and
+    dropped, and the open entries are reduced mod g, which keeps the final
+    gcd because gcd(g, x) = gcd(g, x mod g).  Equal states have equal
+    futures, so they are merged and their map counts added.  A loop adds
+    nothing to any row and only multiplies every count by |E(H)|.
     """
-    eh = circ.shape[0]
-    width = stars.shape[0] * circ.shape[1]
-    # entries stay within +-len(edge_indices); int16 covers every realistic graph
-    dtype = np.int16 if len(edge_indices) < 2**15 else np.int64
-    states = np.zeros((1, width), dtype=dtype)
-    counts = np.ones(1, dtype=np.int64)
-    for i in edge_indices:
-        level = np.stack(
-            [np.outer(stars[:, i], circ[j]).ravel().astype(dtype) for j in range(eh)]
-        )
-        increments, multiplicity = np.unique(level, axis=0, return_counts=True)
-        step = max(1, _CHUNK_ROWS // len(increments))
-        merged_states: list[np.ndarray] = []
-        merged_counts: list[np.ndarray] = []
-        for lo in range(0, len(states), step):
-            block = states[lo : lo + step]
-            expanded = (block[:, None, :] + increments[None, :, :]).reshape(-1, width)
-            weights = (counts[lo : lo + step, None] * multiplicity[None, :]).reshape(-1)
-            unique, inverse = np.unique(expanded, axis=0, return_inverse=True)
-            acc = np.zeros(len(unique), dtype=np.int64)
-            np.add.at(acc, inverse.ravel(), weights)
-            merged_states.append(unique)
-            merged_counts.append(acc)
-        stacked = np.vstack(merged_states)
-        unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        acc = np.zeros(len(unique), dtype=np.int64)
-        np.add.at(acc, inverse.ravel(), np.concatenate(merged_counts))
-        states, counts = unique, acc
-
-    gcds = np.gcd.reduce(np.abs(states.astype(np.int64)), axis=1)
-    out: dict[int, int] = {}
-    for value, count in zip(gcds.tolist(), counts.tolist()):
-        out[value] = out.get(value, 0) + count
-    return out
-
-
-def _merged_gcd_counts(g: MultiDigraph, h: MultiDigraph) -> dict[int, int]:
-    """Map gcd value -> number of maps attaining it, exactly.
-
-    Source components restrict maps independently and own disjoint row
-    blocks of the discrepancy matrix, so the whole-graph distribution is
-    the gcd-convolution of per-component ones.
-    """
-    eg, eh = g.num_edges, h.num_edges
-    if eg == 0:
-        return {0: 1}
-    if eh == 0:
+    eh = h.num_edges
+    if g.num_edges and not eh:
         return {}
-    circ = circuit_matrix(h)
-    if g.vertex_count * circ.shape[1] == 0:
-        return {0: eh**eg}
-    stars = incidence_matrix(g)
-    joint: dict[int, int] = {0: 1}
-    for edge_indices, vertex_indices in _edge_components(g):
-        part = _component_gcd_counts(stars[vertex_indices, :], circ, edge_indices)
-        combined: dict[int, int] = {}
-        for a, count_a in joint.items():
-            for b, count_b in part.items():
-                key = math.gcd(a, b)
-                combined[key] = combined.get(key, 0) + count_a * count_b
-        joint = combined
-    return joint
+    # bridges of H, and edges in series on a cycle, share a circuit row
+    rows, multiplicity = np.unique(circuit_matrix(h), axis=0, return_counts=True)
+    width = rows.shape[1]
+    edges = [(tail, head) for tail, head in g.edges if tail != head]
+    loops = g.num_edges - len(edges)
+    last = {v: k for k, edge in enumerate(edges) for v in edge}
+    # a count never exceeds |E(H)| ** (edges so far); past int64, use Python ints
+    dtype = np.int64 if eh ** len(edges) < 2**63 else object
+    opened: list[int] = []
+    # column 0 holds g, then one block of width columns per open vertex
+    states = np.zeros((1, 1), dtype=np.int64)
+    counts = np.ones(1, dtype=dtype)
+    for k, (tail, head) in enumerate(edges):
+        for v in (tail, head):
+            if v not in opened:
+                opened.append(v)
+                states = np.hstack([states, np.zeros((len(states), width), dtype=np.int64)])
+        step = np.tile(rows, (len(states), 1))
+        states = np.repeat(states, len(rows), axis=0)
+        counts = np.repeat(counts, len(rows)) * np.tile(multiplicity, len(counts))
+        at_tail = 1 + opened.index(tail) * width
+        at_head = 1 + opened.index(head) * width
+        states[:, at_tail : at_tail + width] += step
+        states[:, at_head : at_head + width] -= step
 
-
-# direct evaluation materializes one matrix entry row per map; cap the
-# total entry count so memory stays modest
-_DIRECT_ENTRIES = 2**24
-
-
-def _direct_stride(g: MultiDigraph, h: MultiDigraph) -> int:
-    return max(1, _DIRECT_ENTRIES // max(1, _matrix_width(g, h)))
+        blocks = [range(1 + s * width, 1 + (s + 1) * width) for s in range(len(opened))]
+        closing = [x for s, v in enumerate(opened) if last[v] == k for x in blocks[s]]
+        kept = [x for s, v in enumerate(opened) if last[v] != k for x in blocks[s]]
+        opened = [v for v in opened if last[v] != k]
+        folded = np.gcd.reduce(states[:, [0] + closing], axis=1)
+        rest = states[:, kept]
+        np.remainder(rest, folded[:, None], out=rest, where=folded[:, None] != 0)
+        states, inverse = np.unique(
+            np.column_stack([folded, rest]), axis=0, return_inverse=True
+        )
+        merged = np.zeros(len(states), dtype=dtype)
+        np.add.at(merged, inverse.ravel(), counts)
+        counts = merged
+    # every vertex has closed, so each state is its gcd alone
+    return {
+        int(value): int(count) * eh**loops
+        for value, count in zip(states[:, 0].tolist(), counts.tolist())
+    }
 
 
 def ff_set_of_graphs(
     g: MultiDigraph,
     h: MultiDigraph,
     budget: int = DEFAULT_MAP_BUDGET,
-    method: str = "auto",
 ) -> FFSet:
     """FF(G,H): the union over every edge map of its divisor set.
 
     All of N iff some map has gcd 0; empty iff H is edgeless while G is
-    not.  method picks the evaluator: "direct" per map, "merged" state
-    scan, "auto" by size.  The two agree everywhere; both are exhaustive.
+    not.  The gcds are read off the map-space gcd histogram, which one
+    frontier pass builds exactly from far fewer states than there are
+    maps; the budget still caps the notional map count.
     """
     _check_map_budget(g, h, budget)
-    if g.num_edges and not h.num_edges:
-        return FFSet.from_gcds([])
-    if method == "auto":
-        method = "direct" if _map_space_size(g, h) <= _direct_stride(g, h) else "merged"
-    if method == "direct":
-        size = _map_space_size(g, h)
-        stride = _direct_stride(g, h)
-        seen: set[int] = set()
-        for start in range(0, size, stride):
-            seen.update(np.unique(_gcds_for_range(g, h, start, min(size, start + stride))).tolist())
-        return FFSet.from_gcds(seen)
-    if method == "merged":
-        return FFSet.from_gcds(_merged_gcd_counts(g, h).keys())
-    raise ValueError(f"unknown method {method!r}")
+    return FFSet.from_gcds(_gcd_counts(g, h))
 
 
 def count_ff_maps(
@@ -294,15 +212,16 @@ def count_ff_maps(
 ) -> int:
     """Number of edge maps G -> H that are flow-continuous over m.
 
-    method "gcd" counts maps whose gcd is divisible by the exponent of m
-    (zero gcd for infinite m); method "oracle" replays the definition,
-    checking every flow on H against every map, and exists to validate
-    the count rather than to be fast.
+    method "gcd" reads the gcd histogram of the map space and adds up the
+    maps whose gcd the exponent of m divides (gcd zero for infinite m);
+    method "oracle" replays the definition, checking every flow on H
+    against every map, and exists to validate the count rather than to be
+    fast.
     """
     if method == "gcd":
         _check_map_budget(g, h, budget)
         n = exponent(m)
-        by_gcd = _merged_gcd_counts(g, h)
+        by_gcd = _gcd_counts(g, h)
         if n is None:
             return by_gcd.get(0, 0)
         return sum(count for value, count in by_gcd.items() if value % n == 0)
@@ -438,7 +357,10 @@ def subcubic_equivalence_check(
 
     The equivalence is guaranteed whenever every source degree is below
     n, so that is enforced as a precondition; the scan then confirms the
-    prediction (expected: zero violations).
+    prediction (expected: zero violations).  A map violates it at n when
+    its gcd is nonzero and divisible by n, so the violations are counted
+    from the gcd histogram; only if there are any are the maps scanned
+    one by one, in lexicographic order, for the first few examples.
     """
     moduli = tuple(sorted(set(int(n) for n in n_range)))
     if not moduli:
@@ -450,25 +372,22 @@ def subcubic_equivalence_check(
             f"max degree {g.max_degree()} not below smallest modulus {moduli[0]}"
         )
     _check_map_budget(g, h, budget)
-    size = _map_space_size(g, h)
-    if g.num_edges and not h.num_edges:
-        return EquivalenceReport(0, moduli, 0, ())
-
-    eg, eh = g.num_edges, h.num_edges
-    stride = _direct_stride(g, h)
-    violation_count = 0
+    by_gcd = _gcd_counts(g, h)
+    violation_count = sum(
+        count
+        for n in moduli
+        for value, count in by_gcd.items()
+        if (value % n == 0) != (value == 0)
+    )
     samples: list[tuple[tuple[int, ...], int]] = []
-    for start in range(0, size, stride):
-        stop = min(size, start + stride)
-        gcds = _gcds_for_range(g, h, start, stop)
-        is_z = gcds == 0
-        for n in moduli:
-            mismatch = np.nonzero((gcds % n == 0) != is_z)[0]
-            violation_count += len(mismatch)
-            for k in mismatch[: _SAMPLE_CAP - len(samples)]:
-                index = start + int(k)
-                digits = tuple(
-                    (index // eh ** (eg - 1 - i)) % eh for i in range(eg)
-                )
-                samples.append((digits, n))
-    return EquivalenceReport(size, moduli, violation_count, tuple(samples))
+    if violation_count:
+        # the histogram forgets which maps attain a gcd: find the first
+        # offenders again, map by map in lexicographic order
+        for assignment in itertools.product(range(h.num_edges), repeat=g.num_edges):
+            value = ff_gcd(EdgeMap(g, h, assignment))
+            samples.extend((assignment, n) for n in moduli if (value % n == 0) != (value == 0))
+            if len(samples) >= _SAMPLE_CAP:
+                break
+    return EquivalenceReport(
+        _map_space_size(g, h), moduli, violation_count, tuple(samples[:_SAMPLE_CAP])
+    )

@@ -175,7 +175,7 @@ def test_criterion_08_cone_equals_enumeration():
             by_cone = ff_set_digons(DigonFamily(a), DigonFamily(b))
             by_scan = ff_set_of_graphs(
                 DigonFamily(a).graph(), DigonFamily(b).graph(),
-                budget=10**9, method="merged",
+                budget=10**9,
             )
             if by_cone != by_scan:
                 ok = False

@@ -125,7 +125,7 @@ def test_build_witness_plans():
     assert plan.target_digons == (4, 6)
     assert verify_witness(plan).passed
     # small enough for a full scan over the actual pair of digraphs
-    full = ff_set_of_graphs(g, h, budget=10**12, method="merged")
+    full = ff_set_of_graphs(g, h, budget=10**12)
     assert full == FFSet.from_members({1})
 
     g, h, plan = build_witness({2, 3})

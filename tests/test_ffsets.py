@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +20,16 @@ from flowcont.flows import BudgetExceededError
 from flowcont.graphs import MultiDigraph, dicycle, digon, disjoint_union, k4, loop
 
 
+def brute_gcd_histogram(g, h):
+    """Reference: gcd -> map count, per-map gcds via the decision module."""
+    return Counter(
+        ff_gcd(EdgeMap(g, h, assignment))
+        for assignment in itertools.product(range(h.num_edges), repeat=g.num_edges)
+    )
+
+
 def brute_ff_set(g, h):
-    """Reference: per-map gcds via the decision module, one by one."""
-    gcds = set()
-    for assignment in itertools.product(range(h.num_edges), repeat=g.num_edges):
-        gcds.add(ff_gcd(EdgeMap(g, h, assignment)))
-    return FFSet.from_gcds(gcds)
+    return FFSet.from_gcds(brute_gcd_histogram(g, h))
 
 
 def test_ffset_validation():
@@ -93,7 +98,7 @@ def test_ff_set_of_graphs_edgeless_cases():
     assert ff_set_of_graphs(empty, empty).all_of_n
 
 
-def test_ff_set_methods_agree_with_brute_force():
+def test_ff_set_matches_brute_force():
     cases = [
         (digon(4), digon(3)),
         (dicycle(3), digon(2)),
@@ -102,18 +107,49 @@ def test_ff_set_methods_agree_with_brute_force():
         (MultiDigraph(3, ((0, 1), (1, 2), (0, 2))), MultiDigraph(2, ((0, 1), (1, 0)))),
     ]
     for g, h in cases:
-        expected = brute_ff_set(g, h)
-        assert ff_set_of_graphs(g, h, method="direct") == expected
-        assert ff_set_of_graphs(g, h, method="merged") == expected
-        assert ff_set_of_graphs(g, h, method="auto") == expected
+        assert ff_set_of_graphs(g, h) == brute_ff_set(g, h)
 
 
 def test_ff_set_budget_is_conceptual_map_count():
     with pytest.raises(BudgetExceededError):
         ff_set_of_graphs(digon(4), digon(3), budget=80)  # 81 maps
     assert ff_set_of_graphs(digon(4), digon(3), budget=81).members() == (1, 2, 4)
-    with pytest.raises(ValueError):
-        ff_set_of_graphs(digon(2), digon(2), method="psychic")
+
+
+def test_ff_set_scan_keeps_states_not_maps():
+    # 6**10 = 6.0e7 maps, inside the default budget
+    assert ff_set_of_graphs(dicycle(10), k4()) == ff_set_of_graphs(dicycle(6), k4())
+
+
+def test_count_past_int64_is_exact():
+    assert count_ff_maps(dicycle(30), k4(), parse_group("Z1"), budget=6**30) == 6**30
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 4 vertices and 5 edges: loops, parallel edges, isolated
+    vertices and several components all occur."""
+    n = draw(st.integers(1, 4))
+    ends = st.integers(0, n - 1)
+    return MultiDigraph(n, tuple(draw(st.lists(st.tuples(ends, ends), max_size=5))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(), multigraphs())
+def test_scans_match_per_map_gcd_histogram(g, h):
+    histogram = brute_gcd_histogram(g, h)
+    assert ff_set_of_graphs(g, h) == FFSet.from_gcds(histogram)
+    assert count_ff_maps(g, h, parse_group("Z")) == histogram[0]
+    for n in range(1, 7):
+        expected = sum(count for value, count in histogram.items() if value % n == 0)
+        assert count_ff_maps(g, h, parse_group(f"Z{n}")) == expected
+    moduli = range(g.max_degree() + 1, 7)
+    if moduli:
+        report = subcubic_equivalence_check(g, h, moduli)
+        assert report.maps_checked == h.num_edges**g.num_edges
+        assert report.violation_count == sum(
+            count for n in moduli for value, count in histogram.items() if value and value % n == 0
+        )
 
 
 def test_one_in_set_iff_any_map_exists():
