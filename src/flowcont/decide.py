@@ -156,7 +156,8 @@ def discrepancy(f: EdgeMap) -> DiscrepancyMatrix:
     d = np.zeros(f.source.vertex_count * width, dtype=np.int64)
     step = max(1, 2**18 // max(1, width))
     for lo in range(0, len(assignment), step):
-        rows = circ[assignment[lo : lo + step]].ravel()
+        # int64 values keep np.add.at off its slow casting path
+        rows = circ[assignment[lo : lo + step]].ravel().astype(np.int64)
         np.add.at(d, (starts[lo : lo + step, :1] + columns).ravel(), rows)
         np.subtract.at(d, (starts[lo : lo + step, 1:] + columns).ravel(), rows)
     return DiscrepancyMatrix(d.reshape(f.source.vertex_count, width))

@@ -13,6 +13,10 @@ source edges that folds each finished discrepancy row into a running gcd
 and merges equal states, so it is exact while keeping far fewer states
 than there are maps.  Map spaces have size |E(H)| ** |E(G)|, and every
 scan still refuses a space above its budget (default 10**8 maps).
+
+The witness search is the same pass with its gcd seeded at n, dropping
+states that can no longer end FF_n; its budget caps the entries of the
+frontiers it builds.
 """
 
 import itertools
@@ -22,7 +26,7 @@ import numpy as np
 
 from .algebra import Group, divisors, exponent
 from .decide import EdgeMap, ff_gcd, pull_back
-from .flows import BudgetExceededError, circuit_matrix, enumerate_flows, incidence_matrix, is_flow
+from .flows import BudgetExceededError, circuit_matrix, enumerate_flows, is_flow
 from .graphs import MultiDigraph
 
 DEFAULT_MAP_BUDGET = 10**8
@@ -125,25 +129,35 @@ def _check_map_budget(g: MultiDigraph, h: MultiDigraph, budget: int) -> None:
         raise BudgetExceededError(size, budget, what="maps")
 
 
-def _gcd_counts(g: MultiDigraph, h: MultiDigraph) -> dict[int, int]:
-    """Map gcd -> number of edge maps G -> H attaining it, exactly.
+def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None = None, budget: int | None = None):
+    """(gcd -> map count, first finishing map or None, states expanded).
 
-    One frontier pass over the non-loop source edges in index order.  A
-    state is (g, open rows): the discrepancy rows of the source vertices
-    that still have an edge to come, and the gcd g of the rows already
-    closed.  Sending edge i to target edge j adds row j of the circuit
-    matrix at i's tail and subtracts it at i's head.  After a vertex's
-    last edge its row can change no more, so it is folded into g and
-    dropped, and the open entries are reduced mod g, which keeps the final
-    gcd because gcd(g, x) = gcd(g, x mod g).  Equal states have equal
-    futures, so they are merged and their map counts added.  A loop adds
-    nothing to any row and only multiplies every count by |E(H)|.
+    One pass over the non-loop source edges in index order.  A state is
+    (g, open rows): the discrepancy rows of the source vertices that still
+    have an edge to come, and the gcd g of the rows already closed, seeded
+    with n (or 0).  Sending edge i to target edge j adds row j of the
+    circuit matrix at i's tail and subtracts it at i's head.  After a
+    vertex's last edge its row is folded into g and dropped, and the open
+    entries are reduced mod g, which keeps the final gcd.  Equal states
+    have equal futures, so they are merged and their map counts added.  A
+    loop multiplies every count by |E(H)| and goes to target edge 0.
+
+    Candidates come in target edge order and merged states keep the order
+    they were first reached in, so each state's first arrival is its
+    lexicographically first prefix; the first final state, traced back,
+    is the first finishing map.  Given n, only FF_n maps finish.  The
+    histogram is None once the frontier entries built pass the budget.
     """
     eh = h.num_edges
     if g.num_edges and not eh:
-        return {}
-    # bridges of H, and edges in series on a cycle, share a circuit row
-    rows, multiplicity = np.unique(circuit_matrix(h), axis=0, return_counts=True)
+        return {}, None, 0
+    # bridges of H, and edges in series on a cycle, share a circuit row;
+    # the first target edge carrying a row stands for all of them
+    rows, first, multiplicity = np.unique(
+        circuit_matrix(h), axis=0, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rows, first, multiplicity = rows[order], first[order], multiplicity[order]
     width = rows.shape[1]
     edges = [(tail, head) for tail, head in g.edges if tail != head]
     loops = g.num_edges - len(edges)
@@ -152,13 +166,19 @@ def _gcd_counts(g: MultiDigraph, h: MultiDigraph) -> dict[int, int]:
     dtype = np.int64 if eh ** len(edges) < 2**63 else object
     opened: list[int] = []
     # column 0 holds g, then one block of width columns per open vertex
-    states = np.zeros((1, 1), dtype=np.int64)
+    states = np.full((1, 1), n or 0, dtype=np.int64)
     counts = np.ones(1, dtype=dtype)
+    arrivals = []
+    expanded = entries = 0
     for k, (tail, head) in enumerate(edges):
         for v in (tail, head):
             if v not in opened:
                 opened.append(v)
                 states = np.hstack([states, np.zeros((len(states), width), dtype=np.int64)])
+        entries += len(states) * len(rows) * states.shape[1]
+        if budget is not None and entries > budget:
+            return None, None, expanded
+        expanded += len(states)
         step = np.tile(rows, (len(states), 1))
         states = np.repeat(states, len(rows), axis=0)
         counts = np.repeat(counts, len(rows)) * np.tile(multiplicity, len(counts))
@@ -172,19 +192,31 @@ def _gcd_counts(g: MultiDigraph, h: MultiDigraph) -> dict[int, int]:
         kept = [x for s, v in enumerate(opened) if last[v] != k for x in blocks[s]]
         opened = [v for v in opened if last[v] != k]
         folded = np.gcd.reduce(states[:, [0] + closing], axis=1)
-        rest = states[:, kept]
+        # g only loses divisors, so a state whose g is not n never ends FF_n
+        alive = np.flatnonzero(folded == n) if n is not None else np.arange(len(states))
+        if not len(alive):
+            return {}, None, expanded
+        folded = folded[alive]
+        rest = states[np.ix_(alive, kept)]
         np.remainder(rest, folded[:, None], out=rest, where=folded[:, None] != 0)
-        states, inverse = np.unique(
-            np.column_stack([folded, rest]), axis=0, return_inverse=True
+        states, seen, inverse = np.unique(
+            np.column_stack([folded, rest]), axis=0, return_index=True, return_inverse=True
         )
         merged = np.zeros(len(states), dtype=dtype)
-        np.add.at(merged, inverse.ravel(), counts)
-        counts = merged
+        np.add.at(merged, inverse.ravel(), counts[alive])
+        order = np.argsort(seen)
+        states, counts = states[order], merged[order]
+        arrivals.append(alive[seen[order]])
     # every vertex has closed, so each state is its gcd alone
-    return {
+    histogram = {
         int(value): int(count) * eh**loops
         for value, count in zip(states[:, 0].tolist(), counts.tolist())
     }
+    chosen, state = [], 0
+    for arrival in reversed(arrivals):
+        state, candidate = divmod(int(arrival[state]), len(rows))
+        chosen.append(int(first[candidate]))
+    return histogram, tuple(0 if tail == head else chosen.pop() for tail, head in g.edges), expanded
 
 
 def ff_set_of_graphs(
@@ -200,7 +232,7 @@ def ff_set_of_graphs(
     maps; the budget still caps the notional map count.
     """
     _check_map_budget(g, h, budget)
-    return FFSet.from_gcds(_gcd_counts(g, h))
+    return FFSet.from_gcds(_frontier(g, h)[0])
 
 
 def count_ff_maps(
@@ -221,7 +253,7 @@ def count_ff_maps(
     if method == "gcd":
         _check_map_budget(g, h, budget)
         n = exponent(m)
-        by_gcd = _gcd_counts(g, h)
+        by_gcd = _frontier(g, h)[0]
         if n is None:
             return by_gcd.get(0, 0)
         return sum(count for value, count in by_gcd.items() if value % n == 0)
@@ -241,7 +273,8 @@ def count_ff_maps(
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of a witness search: found / none / unknown (budget ran out)."""
+    """Result of a witness search: found / none / unknown (budget ran out),
+    and nodes, the number of frontier states the search expanded."""
 
     status: str
     witness: EdgeMap | None
@@ -263,10 +296,11 @@ def exists_ff_map(
     """Search for a map G -> H that is FF_n (n = 0 for the integers).
 
     Digon unions are decided through the integer-cone criterion, which is
-    instant at any size.  Otherwise a depth-first scan assigns one source
-    edge at a time and prunes as soon as some completed discrepancy row
-    already violates divisibility; "unknown" is returned if the node
-    budget runs out first and is never conflated with "none".
+    instant at any size.  Otherwise the frontier pass of the scans runs
+    with its gcd seeded at n, dropping every state that can no longer end
+    FF_n, and the witness is the lexicographically first FF_n map.  The
+    budget caps the entries of all frontiers built; "unknown" is returned
+    once it would be passed and is never conflated with "none".
     """
     if n < 0:
         raise ValueError(f"modulus must be nonnegative, got {n}")
@@ -284,50 +318,12 @@ def exists_ff_map(
             return SearchOutcome("none", None, 0)
         return SearchOutcome("found", witness, 0)
 
-    eg, eh = g.num_edges, h.num_edges
-    stars = incidence_matrix(g)
-    circ = circuit_matrix(h)
-    num_circuits = circ.shape[1]
-    if num_circuits == 0:
-        return SearchOutcome("found", EdgeMap(g, h, (0,) * eg), 0)
-
-    outers = [[np.outer(stars[:, i], circ[j]) for j in range(eh)] for i in range(eg)]
-    rows_final_at: list[list[int]] = [[] for _ in range(eg)]
-    for v in range(g.vertex_count):
-        incident = [i for i in range(eg) if stars[v, i] != 0]
-        if incident:
-            rows_final_at[max(incident)].append(v)
-
-    matrix = np.zeros((g.vertex_count, num_circuits), dtype=np.int64)
-    assignment = [0] * eg
-    nodes = 0
-
-    def row_passes(v: int) -> bool:
-        row = matrix[v]
-        return not (row % n).any() if n else not row.any()
-
-    def descend(i: int) -> str:
-        nonlocal nodes
-        if i == eg:
-            return "found"
-        for j in range(eh):
-            nodes += 1
-            if nodes > budget:
-                return "unknown"
-            assignment[i] = j
-            np.add(matrix, outers[i][j], out=matrix)
-            if all(row_passes(v) for v in rows_final_at[i]):
-                result = descend(i + 1)
-                if result != "none":
-                    return result
-            np.subtract(matrix, outers[i][j], out=matrix)
-        return "none"
-
-    status = descend(0)
-    if status != "found":
-        return SearchOutcome(status, None, nodes)
-    witness = EdgeMap(g, h, tuple(assignment))
-    return SearchOutcome("found", witness, nodes)
+    histogram, witness, nodes = _frontier(g, h, n, budget)
+    if histogram is None:
+        return SearchOutcome("unknown", None, nodes)
+    if witness is None:
+        return SearchOutcome("none", None, nodes)
+    return SearchOutcome("found", EdgeMap(g, h, witness), nodes)
 
 
 @dataclass(frozen=True)
@@ -372,7 +368,7 @@ def subcubic_equivalence_check(
             f"max degree {g.max_degree()} not below smallest modulus {moduli[0]}"
         )
     _check_map_budget(g, h, budget)
-    by_gcd = _gcd_counts(g, h)
+    by_gcd = _frontier(g, h)[0]
     violation_count = sum(
         count
         for n in moduli

@@ -65,9 +65,9 @@ def incidence_matrix(g: MultiDigraph) -> np.ndarray:
 
 
 def circuit_matrix(g: MultiDigraph) -> np.ndarray:
-    """Edge-by-circuit matrix of fundamental circuit coefficients."""
+    """Edge-by-circuit matrix of fundamental circuit coefficients (int8: -1, 0, 1)."""
     circuits = spanning_structure(g).circuits
-    mat = np.zeros((g.num_edges, len(circuits)), dtype=np.int64)
+    mat = np.zeros((g.num_edges, len(circuits)), dtype=np.int8)
     for j, steps in enumerate(circuits):
         for edge, sign in steps:
             mat[edge, j] = sign

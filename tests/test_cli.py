@@ -6,7 +6,7 @@ import pytest
 
 from flowcont import cli
 from flowcont.decide import ff_gcd, parse_edge_map
-from flowcont.graphs import digon, k4, parse_digraph
+from flowcont.graphs import dicycle, digon, k4, parse_digraph
 
 
 def run_cli(capsys, *argv):
@@ -191,7 +191,8 @@ def test_search_none_and_unknown(capsys):
     code, record, _ = run_json(
         capsys, "search", "--g", "k4", "--h", "digon:3", "--n", "3", "--budget", "5"
     )
-    assert code == 2 and record["status"] == "unknown" and record["nodes"] == 6
+    # the first level's 15 entries already pass the budget
+    assert code == 2 and record["status"] == "unknown" and record["nodes"] == 0
 
 
 def test_search_modulus_z(capsys):
@@ -310,14 +311,29 @@ def test_check_builds_discrepancy_and_circuits_once(capsys, monkeypatch):
         assert calls == {"discrepancy": 1, "spanning_structure": 1}
 
 
-CRASHING_SEARCH = ("search", "--g", "dicycle:1200", "--h", "k4", "--n", "2")
+SEARCH = ("search", "--g", "dicycle:1200", "--h", "k4", "--n", "2")
+
+# a whole process whose search handler overflows the stack
+CRASHING_PROCESS = """
+import sys
+from flowcont import cli
+
+def crash(args):
+    raise RecursionError("maximum recursion depth exceeded")
+
+cli.cmd_search = crash
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def crash_search(args):
+    raise RecursionError("maximum recursion depth exceeded")
 
 
 def test_internal_error_exits_4_without_traceback():
-    # the recursive witness search overflows the stack on a long cycle;
-    # that is a failure of the program, not a proven "no" (exit 1)
+    # a failure of the program, not a proven "no" (exit 1)
     proc = subprocess.run(
-        [sys.executable, "-m", "flowcont.cli", *CRASHING_SEARCH],
+        [sys.executable, "-c", CRASHING_PROCESS, *SEARCH],
         capture_output=True, text=True,
     )
     assert proc.returncode == cli.EXIT_INTERNAL == 4
@@ -327,12 +343,21 @@ def test_internal_error_exits_4_without_traceback():
     assert proc.stderr.startswith("internal error: RecursionError")
 
 
-def test_internal_error_json_status(capsys):
-    code, record, _ = run_json(capsys, *CRASHING_SEARCH)
+def test_internal_error_json_status(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_search", crash_search)
+    code, record, _ = run_json(capsys, *SEARCH)
     assert code == 4
     assert record["status"] == "error"
     assert record["message"].startswith("internal error: RecursionError")
     assert "\n" not in record["message"]
+
+
+def test_search_on_a_long_cycle_finds_a_witness(capsys):
+    # the search keeps no recursion, so a source of 1,200 edges is fine
+    code, out, _ = run_cli(capsys, *SEARCH)
+    assert code == 0
+    witness = parse_edge_map(out, dicycle(1200), k4())
+    assert ff_gcd(witness) % 2 == 0
 
 
 @pytest.mark.parametrize("error", [MemoryError, RecursionError])

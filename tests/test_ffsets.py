@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcont.algebra import parse_group
+from flowcont.constructions import as_digon_union
 from flowcont.decide import EdgeMap, constant_map, ff_gcd, index_bijection
 from flowcont.ffsets import (
     FFSet,
@@ -152,6 +153,29 @@ def test_scans_match_per_map_gcd_histogram(g, h):
         )
 
 
+def divides(n, value):
+    return value % n == 0 if n else value == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(), multigraphs())
+def test_search_matches_per_map_definition(g, h):
+    maps = list(itertools.product(range(h.num_edges), repeat=g.num_edges))
+    gcds = [ff_gcd(EdgeMap(g, h, assignment)) for assignment in maps]
+    digons = as_digon_union(g) is not None and as_digon_union(h) is not None
+    for n in (0, 1, 2, 3, 4, 6):
+        qualifying = [a for a, value in zip(maps, gcds) if divides(n, value)]
+        out = exists_ff_map(g, h, n)
+        assert out.status == ("found" if qualifying else "none")
+        if not qualifying:
+            continue
+        if digons:
+            assert divides(n, ff_gcd(out.witness))
+        else:
+            # the lexicographically first qualifying map, as product order gives
+            assert out.witness.assignment == qualifying[0]
+
+
 def test_one_in_set_iff_any_map_exists():
     assert ff_set_of_graphs(digon(3), digon(5)).contains(1)
     no_maps = ff_set_of_graphs(digon(3), MultiDigraph(4, ()))
@@ -228,7 +252,7 @@ def test_exists_edgeless_cases():
 
 def test_exists_general_search():
     # directed triangle and k4 are not digon unions, so this runs the
-    # depth-first scan
+    # frontier search
     out = exists_ff_map(dicycle(3), digon(2), 2)
     assert out.status == "found"
     assert ff_gcd(out.witness) % 2 == 0
@@ -242,7 +266,7 @@ def test_exists_budget_returns_unknown():
     out = exists_ff_map(k4(), digon(3), 3, budget=5)
     assert out.status == "unknown"
     assert out.witness is None
-    assert out.nodes == 6  # one past the budget
+    assert out.nodes == 0  # the first level's 15 entries already pass the budget
 
 
 def test_exists_rejects_negative_modulus():
