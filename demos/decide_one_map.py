@@ -23,7 +23,7 @@ from flowcont import (
 def show(f, title):
     print(f"== {title} ==")
     d = discrepancy(f)
-    for row in d.entries:
+    for row in d.tolist():
         print("  ", " ".join(f"{x:3d}" for x in row))
     g = ff_gcd(f)
     print(f"gcd of all entries: {g}")

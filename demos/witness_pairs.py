@@ -6,9 +6,8 @@ and produces an explicit mod-2 map between the actual graphs.
 """
 
 from flowcont import (
-    DigonFamily,
     build_witness,
-    digon_ff_map,
+    digon_union_witness,
     ff_gcd,
     verify_witness,
 )
@@ -26,9 +25,7 @@ print(f"verification: {'pass' if report.passed else 'FAIL'}")
 print(f"  computed set {report.computed}, wanted {report.expected}")
 print()
 
-source = DigonFamily(frozenset(plan.source_digons))
-target = DigonFamily(frozenset(plan.target_digons))
-f = digon_ff_map(source, target, 2)
+f = digon_union_witness(g, h, 2)
 print(f"explicit mod-2 witness map: gcd {ff_gcd(f)}")
 print("  assignment:", f.assignment)
 print()

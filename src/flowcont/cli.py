@@ -9,7 +9,10 @@ Exit codes: 0 yes/pass, 1 no/fail, 2 unknown (budget ran out before a
 decision), 3 usage or input error, 4 internal error (a crash such as a
 stack overflow; never an answer).  --json prints one JSON object on
 stdout; plain output otherwise.  FF_BUDGET in the environment overrides
-default enumeration budgets, and --budget overrides both.
+the default budget, and --budget overrides both.  ffset, count and search
+budget the frontier entries of the map-space pass; count --method oracle
+budgets flow checks.  Pairs of digon unions are answered by cone
+arithmetic, with no budget.
 
 Graph arguments take a file path or builtin syntax "name" / "name:k",
 with comma-separated parts unioned ("digon:9,digon:4").  Map arguments
@@ -24,7 +27,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .algebra import GroupSyntaxError, exponent, parse_group
-from .constructions import DigonFamily, as_digon_union, build_witness, ff_set_digons, verify_witness
+from .constructions import build_witness, verify_witness
 from .decide import (
     EdgeMap,
     constant_map,
@@ -32,10 +35,11 @@ from .decide import (
     format_edge_map,
     gcd_and_certificate,
     index_bijection,
+    oracle_count_ff_maps,
     parse_edge_map,
 )
-from .ffsets import DEFAULT_MAP_BUDGET, FFSet, count_ff_maps, exists_ff_map, ff_set_of_graphs
-from .flows import BudgetExceededError
+from .ffsets import FFSet, count_ff_maps, exists_ff_map, ff_set_of_graphs
+from .flows import DEFAULT_MAP_BUDGET, BudgetExceededError
 from .graphs import (
     BUILTIN_NAMES,
     GraphFormatError,
@@ -183,27 +187,8 @@ def cmd_ffset(args) -> CommandResult:
         extra = {"gcd": gcd_value, "budget_state": {"budget": budget, "maps_covered": 1}}
         payload, lines = _ffset_payload(ff_set, extra)
         return CommandResult("yes", payload, EXIT_YES, lines)
-    if args.digons:
-        source_parts = as_digon_union(source)
-        target_parts = as_digon_union(target)
-        if source_parts is None or target_parts is None:
-            raise ValueError("--digons requires both graphs to be unions of digons")
-        if not source_parts or not target_parts:
-            # edgeless on either side: trivially all of N or empty
-            ff_set = ff_set_of_graphs(source, target)
-        else:
-            ff_set = ff_set_digons(
-                DigonFamily(frozenset(len(p) for p in source_parts)),
-                DigonFamily(frozenset(len(p) for p in target_parts)),
-            )
-        # the cone route answers arithmetically, no maps evaluated
-        state = {"budget": budget, "maps_covered": 0}
-    else:
-        ff_set = ff_set_of_graphs(source, target, budget=budget)
-        state = {
-            "budget": budget,
-            "maps_covered": target.num_edges**source.num_edges if source.num_edges else 1,
-        }
+    ff_set = ff_set_of_graphs(source, target, budget=budget)
+    state = {"budget": budget, "maps_covered": target.num_edges**source.num_edges}
     payload, lines = _ffset_payload(ff_set, {"budget_state": state})
     return CommandResult("yes", payload, EXIT_YES, lines)
 
@@ -213,7 +198,8 @@ def cmd_count(args) -> CommandResult:
     target = parse_graph_argument(args.h)
     m = parse_group(args.group)
     budget = _budget_from(args)
-    count = count_ff_maps(source, target, m, budget=budget, method=args.method)
+    count_maps = oracle_count_ff_maps if args.method == "oracle" else count_ff_maps
+    count = count_maps(source, target, m, budget=budget)
     payload = {"group": str(m), "count": count, "method": args.method}
     lines = [f"{count}"]
     exit_code, status = EXIT_YES, "yes"
@@ -224,7 +210,7 @@ def cmd_count(args) -> CommandResult:
                 f"cross-check group {other} has exponent {exponent(other)}, "
                 f"expected {exponent(m)}"
             )
-        other_count = count_ff_maps(source, target, other, budget=budget, method=args.method)
+        other_count = count_maps(source, target, other, budget=budget)
         equal = other_count == count
         payload["cross_check"] = {"group": str(other), "count": other_count, "equal": equal}
         lines.append(f"cross-check {other}: {other_count} ({'equal' if equal else 'MISMATCH'})")
@@ -331,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     ffset.add_argument("--g", required=True)
     ffset.add_argument("--h", required=True)
     ffset.add_argument("--map", help="restrict to one map instead of all maps")
-    ffset.add_argument("--digons", action="store_true", help="use the digon-union cone analysis")
-    ffset.add_argument("--budget", type=int, help="map evaluation budget")
+    ffset.add_argument("--budget", type=int, help="frontier entry budget")
     ffset.set_defaults(handler=cmd_ffset)
 
     count = commands.add_parser("count", help="count flow-continuous maps")

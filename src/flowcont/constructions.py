@@ -149,25 +149,6 @@ def digon_union_witness(g: MultiDigraph, h: MultiDigraph, n: int) -> EdgeMap | N
     return witness
 
 
-def digon_ff_map(source: DigonFamily, target: DigonFamily, n: int) -> EdgeMap:
-    """The explicit FF_n map between two digon families (n = 0 for FF_Z).
-
-    Errors name the first source multiplicity outside the cone; the
-    returned map is checked to actually satisfy the divisibility it
-    promises.
-    """
-    b_values = sorted(target.multiplicities)
-    generators = sorted(set(b_values) | ({n} if n >= 1 else set()))
-    for a in sorted(source.multiplicities):
-        if not cone_member(a, generators):
-            raise ValueError(
-                f"multiplicity {a} is not in the integer cone of {generators}"
-            )
-    witness = digon_union_witness(source.graph(), target.graph(), n)
-    assert witness is not None
-    return witness
-
-
 @dataclass(frozen=True)
 class WitnessPlan:
     """Recipe for a digraph pair whose FF set is a prescribed down-set.

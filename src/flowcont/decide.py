@@ -18,12 +18,21 @@ O(E_G * cyc_H) in all.  The brute-force oracle below re-checks the
 definition with no shortcuts and must never be folded into the gcd route.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import Group, exponent
-from .flows import DEFAULT_FLOW_BUDGET, GroupVector, circuit_matrix, enumerate_flows, is_flow
+from .flows import (
+    DEFAULT_FLOW_BUDGET,
+    DEFAULT_MAP_BUDGET,
+    BudgetExceededError,
+    GroupVector,
+    circuit_matrix,
+    enumerate_flows,
+    is_flow,
+)
 from .graphs import MultiDigraph, SignedEdgeVector
 
 
@@ -103,30 +112,6 @@ def algebraic_image(f: EdgeMap, tau: SignedEdgeVector) -> SignedEdgeVector:
     return tuple(image)
 
 
-@dataclass(frozen=True, eq=False)
-class DiscrepancyMatrix:
-    """Pairing of pushed-forward star tensions with target circuits.
-
-    Row v, column C holds the signed sum over fundamental circuit C of H
-    of the algebraic image of the star tension at source vertex v.  All of
-    flow-continuity is encoded in the divisibility of these entries.
-    """
-
-    array: np.ndarray
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.array.tolist()))
-
-    @property
-    def num_rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def num_cols(self) -> int:
-        return self.array.shape[1] if self.array.shape[0] else 0
-
-
 @dataclass(frozen=True)
 class FailureCertificate:
     """One matrix entry refuting flow-continuity.
@@ -141,9 +126,12 @@ class FailureCertificate:
     modulus: int
 
 
-def discrepancy(f: EdgeMap) -> DiscrepancyMatrix:
+def discrepancy(f: EdgeMap) -> np.ndarray:
     """The discrepancy matrix D = S P C of f, built without multiplying out.
 
+    Row v, column C holds the signed sum over fundamental circuit C of H
+    of the algebraic image of the star tension at source vertex v; all of
+    flow-continuity is encoded in the divisibility of these int64 entries.
     Source edge i adds row f(i) of C at its tail and subtracts it at its
     head, O(E_G * cyc_H) in all; entries stay within E_G, exact in int64.
     """
@@ -160,7 +148,7 @@ def discrepancy(f: EdgeMap) -> DiscrepancyMatrix:
         rows = circ[assignment[lo : lo + step]].ravel().astype(np.int64)
         np.add.at(d, (starts[lo : lo + step, :1] + columns).ravel(), rows)
         np.subtract.at(d, (starts[lo : lo + step, 1:] + columns).ravel(), rows)
-    return DiscrepancyMatrix(d.reshape(f.source.vertex_count, width))
+    return d.reshape(f.source.vertex_count, width)
 
 
 def ff_gcd(f: EdgeMap) -> int:
@@ -169,7 +157,7 @@ def ff_gcd(f: EdgeMap) -> int:
     g = 0 (the gcd of an empty or all-zero matrix) means f is FF_Z and
     hence flow-continuous over every group.
     """
-    return int(np.gcd.reduce(discrepancy(f).array, axis=None))
+    return int(np.gcd.reduce(discrepancy(f), axis=None))
 
 
 def gcd_and_certificate(f: EdgeMap, n: int) -> tuple[int, FailureCertificate | None]:
@@ -179,7 +167,7 @@ def gcd_and_certificate(f: EdgeMap, n: int) -> tuple[int, FailureCertificate | N
     """
     if n < 0:
         raise ValueError(f"modulus must be nonnegative, got {n}")
-    d = discrepancy(f).array
+    d = discrepancy(f)
     g = int(np.gcd.reduce(d, axis=None))
     if (g % n if n else g) == 0:
         return g, None
@@ -244,3 +232,23 @@ def oracle_is_ff_group(f: EdgeMap, m: Group, budget: int = DEFAULT_FLOW_BUDGET) 
     Independent of the discrepancy machinery; used to validate it.
     """
     return oracle_refutation(f, m, budget) is None
+
+
+def oracle_count_ff_maps(
+    g: MultiDigraph, h: MultiDigraph, m: Group, budget: int = DEFAULT_MAP_BUDGET
+) -> int:
+    """Number of edge maps G -> H flow-continuous over m, by definition.
+
+    Checks every flow on H against every map; the budget caps those flow
+    checks.  Exists to validate count_ff_maps, not to be fast.
+    """
+    flows = list(enumerate_flows(h, m, budget))
+    size = h.num_edges**g.num_edges
+    if size * max(1, len(flows)) > budget:
+        raise BudgetExceededError(size * len(flows), budget, what="flow checks")
+    count = 0
+    for assignment in itertools.product(range(h.num_edges), repeat=g.num_edges):
+        f = EdgeMap(g, h, assignment)
+        if all(is_flow(g, pull_back(f, phi), m) for phi in flows):
+            count += 1
+    return count

@@ -11,12 +11,13 @@ whole-space question here: the set, the count over a group, and the
 below-degree equivalence check.  It comes from one frontier pass over the
 source edges that folds each finished discrepancy row into a running gcd
 and merges equal states, so it is exact while keeping far fewer states
-than there are maps.  Map spaces have size |E(H)| ** |E(G)|, and every
-scan still refuses a space above its budget (default 10**8 maps).
+than there are maps.  The witness search is the same pass with its gcd
+seeded at n, dropping states that can no longer end FF_n.
 
-The witness search is the same pass with its gcd seeded at n, dropping
-states that can no longer end FF_n; its budget caps the entries of the
-frontiers it builds.
+Every budget here counts frontier entries (states times state columns,
+summed over the levels), the real work and memory of the pass, never the
+|E(H)| ** |E(G)| maps of the space.  Pairs of digon unions skip the pass:
+cone arithmetic answers the set and the search at any size.
 """
 
 import itertools
@@ -25,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Group, divisors, exponent
-from .decide import EdgeMap, ff_gcd, pull_back
-from .flows import BudgetExceededError, circuit_matrix, enumerate_flows, is_flow
+from .decide import EdgeMap, ff_gcd
+from .flows import DEFAULT_MAP_BUDGET, BudgetExceededError, circuit_matrix
 from .graphs import MultiDigraph
-
-DEFAULT_MAP_BUDGET = 10**8
 
 
 def _antichain(values) -> frozenset[int]:
@@ -117,16 +116,6 @@ class FFSet:
 def ff_set_of_map(f: EdgeMap) -> FFSet:
     """{n : f is FF_n}: all of N when ff_gcd is 0, else its divisors."""
     return FFSet.from_gcds([ff_gcd(f)])
-
-
-def _map_space_size(g: MultiDigraph, h: MultiDigraph) -> int:
-    return h.num_edges**g.num_edges
-
-
-def _check_map_budget(g: MultiDigraph, h: MultiDigraph, budget: int) -> None:
-    size = _map_space_size(g, h)
-    if size > budget:
-        raise BudgetExceededError(size, budget, what="maps")
 
 
 def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None = None, budget: int | None = None):
@@ -219,6 +208,32 @@ def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None = None, budget: in
     return histogram, tuple(0 if tail == head else chosen.pop() for tail, head in g.edges), expanded
 
 
+def gcd_histogram(
+    g: MultiDigraph,
+    h: MultiDigraph,
+    budget: int = DEFAULT_MAP_BUDGET,
+) -> dict[int, int]:
+    """gcd -> number of edge maps G -> H whose discrepancy gcd it is.
+
+    One frontier pass builds it exactly.  The budget caps the frontier
+    entries built; BudgetExceededError is raised once they would pass it.
+    """
+    histogram = _frontier(g, h, budget=budget)[0]
+    if histogram is None:
+        raise BudgetExceededError(budget + 1, budget, what="frontier entries or more")
+    return histogram
+
+
+def _digon_route(g: MultiDigraph, h: MultiDigraph):
+    """The constructions module when G and H are both digon unions with
+    edges, whose map questions cone arithmetic answers at any size; else
+    None."""
+    # deferred import; constructions sits above this module
+    from . import constructions
+
+    return constructions if all(constructions.as_digon_union(x) for x in (g, h)) else None
+
+
 def ff_set_of_graphs(
     g: MultiDigraph,
     h: MultiDigraph,
@@ -227,12 +242,17 @@ def ff_set_of_graphs(
     """FF(G,H): the union over every edge map of its divisor set.
 
     All of N iff some map has gcd 0; empty iff H is edgeless while G is
-    not.  The gcds are read off the map-space gcd histogram, which one
-    frontier pass builds exactly from far fewer states than there are
-    maps; the budget still caps the notional map count.
+    not.  Digon unions are answered by ff_set_digons; any other pair by
+    the gcd histogram, under its frontier-entry budget.
     """
-    _check_map_budget(g, h, budget)
-    return FFSet.from_gcds(_frontier(g, h)[0])
+    cone = _digon_route(g, h)
+    if cone is not None:
+        source, target = (
+            cone.DigonFamily(frozenset(len(part) for part in cone.as_digon_union(x)))
+            for x in (g, h)
+        )
+        return cone.ff_set_digons(source, target)
+    return FFSet.from_gcds(gcd_histogram(g, h, budget))
 
 
 def count_ff_maps(
@@ -240,35 +260,18 @@ def count_ff_maps(
     h: MultiDigraph,
     m: Group,
     budget: int = DEFAULT_MAP_BUDGET,
-    method: str = "gcd",
 ) -> int:
     """Number of edge maps G -> H that are flow-continuous over m.
 
-    method "gcd" reads the gcd histogram of the map space and adds up the
-    maps whose gcd the exponent of m divides (gcd zero for infinite m);
-    method "oracle" replays the definition, checking every flow on H
-    against every map, and exists to validate the count rather than to be
-    fast.
+    Adds up the gcd histogram over the gcds the exponent of m divides
+    (gcd zero for infinite m).  oracle_count_ff_maps replays the
+    definition instead.
     """
-    if method == "gcd":
-        _check_map_budget(g, h, budget)
-        n = exponent(m)
-        by_gcd = _frontier(g, h)[0]
-        if n is None:
-            return by_gcd.get(0, 0)
-        return sum(count for value, count in by_gcd.items() if value % n == 0)
-    if method == "oracle":
-        flows = list(enumerate_flows(h, m, budget))
-        size = _map_space_size(g, h)
-        if size * max(1, len(flows)) > budget:
-            raise BudgetExceededError(size * len(flows), budget, what="flow checks")
-        count = 0
-        for assignment in itertools.product(range(h.num_edges), repeat=g.num_edges):
-            f = EdgeMap(g, h, assignment)
-            if all(is_flow(g, pull_back(f, phi), m) for phi in flows):
-                count += 1
-        return count
-    raise ValueError(f"unknown method {method!r}")
+    n = exponent(m)
+    by_gcd = gcd_histogram(g, h, budget)
+    if n is None:
+        return by_gcd.get(0, 0)
+    return sum(count for value, count in by_gcd.items() if value % n == 0)
 
 
 @dataclass(frozen=True)
@@ -309,11 +312,9 @@ def exists_ff_map(
     if h.num_edges == 0:
         return SearchOutcome("none", None, 0)
 
-    # deferred import; constructions sits above this module
-    from .constructions import as_digon_union, digon_union_witness
-
-    if as_digon_union(g) is not None and as_digon_union(h) is not None:
-        witness = digon_union_witness(g, h, n)
+    cone = _digon_route(g, h)
+    if cone is not None:
+        witness = cone.digon_union_witness(g, h, n)
         if witness is None:
             return SearchOutcome("none", None, 0)
         return SearchOutcome("found", witness, 0)
@@ -367,8 +368,7 @@ def subcubic_equivalence_check(
         raise ValueError(
             f"max degree {g.max_degree()} not below smallest modulus {moduli[0]}"
         )
-    _check_map_budget(g, h, budget)
-    by_gcd = _frontier(g, h)[0]
+    by_gcd = gcd_histogram(g, h, budget)
     violation_count = sum(
         count
         for n in moduli
@@ -385,5 +385,5 @@ def subcubic_equivalence_check(
             if len(samples) >= _SAMPLE_CAP:
                 break
     return EquivalenceReport(
-        _map_space_size(g, h), moduli, violation_count, tuple(samples[:_SAMPLE_CAP])
+        h.num_edges**g.num_edges, moduli, violation_count, tuple(samples[:_SAMPLE_CAP])
     )

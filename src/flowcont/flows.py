@@ -22,6 +22,8 @@ from .graphs import MultiDigraph, SignedEdgeVector, spanning_structure
 GroupVector = tuple[GroupElement, ...]
 
 DEFAULT_FLOW_BUDGET = 10**7
+# frontier entries for the map-space pass, flow checks for the map-count oracle
+DEFAULT_MAP_BUDGET = 10**8
 
 
 class BudgetExceededError(RuntimeError):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .algebra import Group, direct_product, exponent, parse_group
 from .constructions import DigonFamily, ff_set_digons
-from .decide import EdgeMap, is_ff_group, oracle_is_ff_group
-from .ffsets import count_ff_maps, ff_set_of_graphs, subcubic_equivalence_check
+from .decide import EdgeMap, is_ff_group, oracle_count_ff_maps, oracle_is_ff_group
+from .ffsets import FFSet, gcd_histogram, subcubic_equivalence_check
 from .flows import count_nowhere_zero_flows, enumerate_flows, filter_flows
 from .graphs import MultiDigraph, digon, dicycle, k4, loop, petersen, spanning_structure
 
@@ -138,8 +138,8 @@ def suite_exponent_counts(rng: random.Random, trials: int) -> SuiteResult:
             left, right = parse_group(left_text), parse_group(right_text)
             assert exponent(left) == exponent(right)
             checks += 1
-            left_count = count_ff_maps(g, h, left, method="oracle")
-            right_count = count_ff_maps(g, h, right, method="oracle")
+            left_count = oracle_count_ff_maps(g, h, left)
+            right_count = oracle_count_ff_maps(g, h, right)
             if left_count != right_count:
                 failures.append(
                     f"trial {t}: {left_text}:{left_count} vs {right_text}:{right_count}"
@@ -180,7 +180,7 @@ def suite_digon_cone(rng: random.Random, trials: int) -> SuiteResult:
         target = DigonFamily(frozenset(rng.sample(range(1, 5), rng.randint(1, 2))))
         checks += 1
         by_cone = ff_set_digons(source, target)
-        by_scan = ff_set_of_graphs(source.graph(), target.graph())
+        by_scan = FFSet.from_gcds(gcd_histogram(source.graph(), target.graph()))
         if by_cone != by_scan:
             failures.append(
                 f"trial {t}: {sorted(source.multiplicities)} -> "

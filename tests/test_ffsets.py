@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowcont.algebra import parse_group
 from flowcont.constructions import as_digon_union
-from flowcont.decide import EdgeMap, constant_map, ff_gcd, index_bijection
+from flowcont.decide import EdgeMap, constant_map, ff_gcd, index_bijection, oracle_count_ff_maps
 from flowcont.ffsets import (
     FFSet,
     SearchOutcome,
@@ -15,6 +15,7 @@ from flowcont.ffsets import (
     exists_ff_map,
     ff_set_of_graphs,
     ff_set_of_map,
+    gcd_histogram,
     subcubic_equivalence_check,
 )
 from flowcont.flows import BudgetExceededError
@@ -111,15 +112,17 @@ def test_ff_set_matches_brute_force():
         assert ff_set_of_graphs(g, h) == brute_ff_set(g, h)
 
 
-def test_ff_set_budget_is_conceptual_map_count():
-    with pytest.raises(BudgetExceededError):
-        ff_set_of_graphs(digon(4), digon(3), budget=80)  # 81 maps
-    assert ff_set_of_graphs(digon(4), digon(3), budget=81).members() == (1, 2, 4)
+def test_gcd_histogram_budget_counts_frontier_entries():
+    # 81 maps, and the frontier builds 300 entries for them
+    with pytest.raises(BudgetExceededError, match="frontier entries"):
+        gcd_histogram(digon(4), digon(3), budget=299)
+    assert gcd_histogram(digon(4), digon(3), budget=300) == {1: 60, 2: 18, 4: 3}
 
 
 def test_ff_set_scan_keeps_states_not_maps():
-    # 6**10 = 6.0e7 maps, inside the default budget
     assert ff_set_of_graphs(dicycle(10), k4()) == ff_set_of_graphs(dicycle(6), k4())
+    # 6**12 = 2.2e9 maps, answered within 10**5 frontier entries
+    assert ff_set_of_graphs(dicycle(12), k4(), budget=10**5).all_of_n
 
 
 def test_count_past_int64_is_exact():
@@ -188,8 +191,8 @@ def test_count_ff_maps_examples():
     assert count_ff_maps(digon(2), digon(2), z2) == 4
     assert count_ff_maps(digon(2), digon(2), z3) == 2
     assert count_ff_maps(digon(2), digon(2), parse_group("Z1")) == 4
-    assert count_ff_maps(digon(2), digon(2), z2, method="oracle") == 4
-    assert count_ff_maps(digon(2), digon(2), z3, method="oracle") == 2
+    assert oracle_count_ff_maps(digon(2), digon(2), z2) == 4
+    assert oracle_count_ff_maps(digon(2), digon(2), z3) == 2
 
 
 def test_count_ff_maps_integers():
@@ -207,7 +210,7 @@ def test_count_methods_agree_random():
             h = digon(1)
         for text in ("Z1", "Z2", "Z3", "Z4", "Z2xZ2"):
             m = parse_group(text)
-            assert count_ff_maps(g, h, m) == count_ff_maps(g, h, m, method="oracle")
+            assert count_ff_maps(g, h, m) == oracle_count_ff_maps(g, h, m)
 
 
 def test_count_same_exponent_same_count():
@@ -220,8 +223,6 @@ def test_count_same_exponent_same_count():
 def test_count_budget():
     with pytest.raises(BudgetExceededError):
         count_ff_maps(digon(4), digon(3), parse_group("Z2"), budget=10)
-    with pytest.raises(ValueError):
-        count_ff_maps(digon(2), digon(2), parse_group("Z2"), method="guess")
 
 
 def test_search_outcome_validation():
