@@ -1,9 +1,12 @@
-"""Integer primitives and finitely generated abelian groups.
+"""Integer primitives, divisibility down-sets and finitely generated
+abelian groups.
 
 Everything here uses Python's arbitrary-precision integers, so there is no
 overflow at any input size.  A group is a free rank plus a tuple of cyclic
 orders; an element is a plain tuple of ints, one per factor, with residues
-held in ``[0, order)``.  The trivial group is ``Group(0, ())``.
+held in ``[0, order)``.  The trivial group is ``Group(0, ())``.  An
+FFSet is a down-set of positive integers under divisibility, the shape
+of every flow-continuity set.
 """
 
 import itertools
@@ -151,6 +154,88 @@ def divisors(n: int) -> tuple[int, ...]:
                 large.append(n // d)
         d += 1
     return tuple(small + large[::-1])
+
+
+def _antichain(values) -> frozenset[int]:
+    kept = set(values)
+    return frozenset(
+        x for x in kept if not any(y != x and y % x == 0 for y in kept)
+    )
+
+
+@dataclass(frozen=True)
+class FFSet:
+    """A down-set of positive integers under divisibility.
+
+    Either all of N, or finite and stored as the antichain of its maximal
+    elements; n is a member iff it divides one of them.  The empty finite
+    set means no edge map exists at all.
+    """
+
+    all_of_n: bool
+    maximal_elements: frozenset[int]
+
+    def __post_init__(self):
+        if self.all_of_n and self.maximal_elements:
+            raise ValueError("all-of-N set carries no maximal elements")
+        for x in self.maximal_elements:
+            if x < 1:
+                raise ValueError(f"maximal element {x} must be positive")
+        if self.maximal_elements != _antichain(self.maximal_elements):
+            raise ValueError("maximal elements must form a divisibility antichain")
+
+    @classmethod
+    def everything(cls) -> "FFSet":
+        return cls(all_of_n=True, maximal_elements=frozenset())
+
+    @classmethod
+    def from_gcds(cls, gcds) -> "FFSet":
+        """The union of divisor sets of per-map gcds; gcd 0 means all of N."""
+        values = set(int(x) for x in gcds)
+        if 0 in values:
+            return cls.everything()
+        return cls(all_of_n=False, maximal_elements=_antichain(values))
+
+    @classmethod
+    def from_members(cls, members) -> "FFSet":
+        """A finite set given by full membership; must be a down-set."""
+        values = set(int(x) for x in members)
+        for x in values:
+            if x < 1:
+                raise ValueError(f"member {x} must be positive")
+            for d in divisors(x):
+                if d not in values:
+                    raise ValueError(f"not a down-set: {x} in, divisor {d} out")
+        return cls(all_of_n=False, maximal_elements=_antichain(values))
+
+    def contains(self, n: int) -> bool:
+        if n < 1:
+            return False
+        if self.all_of_n:
+            return True
+        return any(m % n == 0 for m in self.maximal_elements)
+
+    def members(self) -> tuple[int, ...]:
+        """All members of a finite set, ascending; error on all of N."""
+        if self.all_of_n:
+            raise ValueError("infinite set has no member list")
+        out: set[int] = set()
+        for m in self.maximal_elements:
+            out.update(divisors(m))
+        return tuple(sorted(out))
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "all_of_N" if self.all_of_n else "finite",
+            "maximal_elements": sorted(self.maximal_elements),
+        }
+
+    def __str__(self) -> str:
+        if self.all_of_n:
+            return "all n >= 1"
+        if not self.maximal_elements:
+            return "empty"
+        return "{" + " ".join(str(m) for m in self.members()) + "}"
 
 
 def cone_member(target: int, generators: Iterable[int]) -> bool:

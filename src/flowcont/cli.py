@@ -11,8 +11,9 @@ stack overflow; never an answer).  --json prints one JSON object on
 stdout; plain output otherwise.  FF_BUDGET in the environment overrides
 the default budget, and --budget overrides both.  ffset, count and search
 budget the frontier entries of the map-space pass; count --method oracle
-budgets flow checks.  Pairs of digon unions are answered by cone
-arithmetic, with no budget.
+budgets flow checks.  On two digon unions, search uses cone arithmetic,
+and so does ffset when the cone steps fit the budget.  Counts and
+map-space sizes are printed in full, however many digits they have.
 
 Graph arguments take a file path or builtin syntax "name" / "name:k",
 with comma-separated parts unioned ("digon:9,digon:4").  Map arguments
@@ -26,7 +27,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-from .algebra import GroupSyntaxError, exponent, parse_group
+from .algebra import FFSet, GroupSyntaxError, exponent, parse_group
 from .constructions import build_witness, verify_witness
 from .decide import (
     EdgeMap,
@@ -38,7 +39,7 @@ from .decide import (
     oracle_count_ff_maps,
     parse_edge_map,
 )
-from .ffsets import FFSet, count_ff_maps, exists_ff_map, ff_set_of_graphs
+from .ffsets import count_ff_maps, exists_ff_map, ff_set_of_graphs
 from .flows import DEFAULT_MAP_BUDGET, BudgetExceededError
 from .graphs import (
     BUILTIN_NAMES,
@@ -350,31 +351,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(result: CommandResult, json_mode: bool) -> None:
+def _failure(exc: Exception) -> CommandResult:
+    if isinstance(exc, BudgetExceededError):
+        return CommandResult("unknown", {"message": str(exc)}, EXIT_UNKNOWN, (f"unknown: {exc}",))
+    if isinstance(exc, (GraphFormatError, GroupSyntaxError, ValueError, OSError)):
+        return CommandResult("error", {"message": str(exc)}, EXIT_USAGE, (f"error: {exc}",))
+    # RecursionError and MemoryError included: exit 1 must stay a proven "no"
+    message = f"internal error: {type(exc).__name__}: {exc}".splitlines()[0]
+    return CommandResult("error", {"message": message}, EXIT_INTERNAL, (message,))
+
+
+def _render(result: CommandResult, json_mode: bool) -> str:
     if json_mode:
-        print(json.dumps({"status": result.status, **result.payload}, sort_keys=True))
-        return
-    stream = sys.stderr if result.status == "error" else sys.stdout
-    for line in result.lines:
-        print(line, file=stream)
+        return json.dumps({"status": result.status, **result.payload}, sort_keys=True)
+    return "\n".join(result.lines)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # counts and map-space sizes are printed in full, past the
+    # interpreter's default cap on the digits of an int turned to text
+    digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_cap:
+        sys.set_int_max_str_digits(0)
     try:
         result = args.handler(args)
-    except BudgetExceededError as exc:
-        result = CommandResult(
-            "unknown", {"message": str(exc)}, EXIT_UNKNOWN, (f"unknown: {exc}",)
-        )
-    except (GraphFormatError, GroupSyntaxError, ValueError, OSError) as exc:
-        result = CommandResult("error", {"message": str(exc)}, EXIT_USAGE, (f"error: {exc}",))
+        text = _render(result, args.json)
     except Exception as exc:
-        # RecursionError and MemoryError included: exit 1 must stay a proven "no"
-        message = f"internal error: {type(exc).__name__}: {exc}".splitlines()[0]
-        result = CommandResult("error", {"message": message}, EXIT_INTERNAL, (message,))
-    _emit(result, args.json)
+        result = _failure(exc)
+        text = _render(result, args.json)
+    finally:
+        if digit_cap:
+            sys.set_int_max_str_digits(digit_cap)
+    print(text, file=sys.stderr if result.status == "error" and not args.json else sys.stdout)
     return result.exit_code
 
 

@@ -11,9 +11,8 @@ pair of digraphs whose FF set is exactly the divisor down-closure of it.
 
 from dataclasses import dataclass
 
-from .algebra import cone_member, divisors, next_prime_above
+from .algebra import FFSet, _antichain, cone_member, divisors, next_prime_above
 from .decide import EdgeMap, ff_gcd
-from .ffsets import FFSet, _antichain
 from .graphs import MultiDigraph, digon, disjoint_union
 
 

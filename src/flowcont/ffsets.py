@@ -17,7 +17,8 @@ seeded at n, dropping states that can no longer end FF_n.
 Every budget here counts frontier entries (states times state columns,
 summed over the levels), the real work and memory of the pass, never the
 |E(H)| ** |E(G)| maps of the space.  Pairs of digon unions skip the pass:
-cone arithmetic answers the set and the search at any size.
+cone arithmetic answers the search at any size, and the set whenever its
+steps fit the budget.
 """
 
 import itertools
@@ -25,92 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Group, divisors, exponent
+from .algebra import FFSet, Group, exponent
+from .constructions import DigonFamily, as_digon_union, digon_union_witness, ff_set_digons
 from .decide import EdgeMap, ff_gcd
 from .flows import DEFAULT_MAP_BUDGET, BudgetExceededError, circuit_matrix
 from .graphs import MultiDigraph
-
-
-def _antichain(values) -> frozenset[int]:
-    kept = set(values)
-    return frozenset(
-        x for x in kept if not any(y != x and y % x == 0 for y in kept)
-    )
-
-
-@dataclass(frozen=True)
-class FFSet:
-    """A down-set of positive integers under divisibility.
-
-    Either all of N, or finite and stored as the antichain of its maximal
-    elements; n is a member iff it divides one of them.  The empty finite
-    set means no edge map exists at all.
-    """
-
-    all_of_n: bool
-    maximal_elements: frozenset[int]
-
-    def __post_init__(self):
-        if self.all_of_n and self.maximal_elements:
-            raise ValueError("all-of-N set carries no maximal elements")
-        for x in self.maximal_elements:
-            if x < 1:
-                raise ValueError(f"maximal element {x} must be positive")
-        if self.maximal_elements != _antichain(self.maximal_elements):
-            raise ValueError("maximal elements must form a divisibility antichain")
-
-    @classmethod
-    def everything(cls) -> "FFSet":
-        return cls(all_of_n=True, maximal_elements=frozenset())
-
-    @classmethod
-    def from_gcds(cls, gcds) -> "FFSet":
-        """The union of divisor sets of per-map gcds; gcd 0 means all of N."""
-        values = set(int(x) for x in gcds)
-        if 0 in values:
-            return cls.everything()
-        return cls(all_of_n=False, maximal_elements=_antichain(values))
-
-    @classmethod
-    def from_members(cls, members) -> "FFSet":
-        """A finite set given by full membership; must be a down-set."""
-        values = set(int(x) for x in members)
-        for x in values:
-            if x < 1:
-                raise ValueError(f"member {x} must be positive")
-            for d in divisors(x):
-                if d not in values:
-                    raise ValueError(f"not a down-set: {x} in, divisor {d} out")
-        return cls(all_of_n=False, maximal_elements=_antichain(values))
-
-    def contains(self, n: int) -> bool:
-        if n < 1:
-            return False
-        if self.all_of_n:
-            return True
-        return any(m % n == 0 for m in self.maximal_elements)
-
-    def members(self) -> tuple[int, ...]:
-        """All members of a finite set, ascending; error on all of N."""
-        if self.all_of_n:
-            raise ValueError("infinite set has no member list")
-        out: set[int] = set()
-        for m in self.maximal_elements:
-            out.update(divisors(m))
-        return tuple(sorted(out))
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "all_of_N" if self.all_of_n else "finite",
-            "maximal_elements": sorted(self.maximal_elements),
-        }
-
-    def __str__(self) -> str:
-        if self.all_of_n:
-            return "all n >= 1"
-        if not self.maximal_elements:
-            return "empty"
-        return "{" + " ".join(str(m) for m in self.members()) + "}"
 
 
 def ff_set_of_map(f: EdgeMap) -> FFSet:
@@ -224,14 +144,13 @@ def gcd_histogram(
     return histogram
 
 
-def _digon_route(g: MultiDigraph, h: MultiDigraph):
-    """The constructions module when G and H are both digon unions with
-    edges, whose map questions cone arithmetic answers at any size; else
-    None."""
-    # deferred import; constructions sits above this module
-    from . import constructions
-
-    return constructions if all(constructions.as_digon_union(x) for x in (g, h)) else None
+def _digon_families(g: MultiDigraph, h: MultiDigraph) -> tuple[DigonFamily, DigonFamily] | None:
+    """G's and H's digon multiplicities when both are digon unions with
+    edges, whose map questions cone arithmetic answers; else None."""
+    parts = [as_digon_union(x) for x in (g, h)]
+    if not all(parts):
+        return None
+    return tuple(DigonFamily(frozenset(len(part) for part in x)) for x in parts)
 
 
 def ff_set_of_graphs(
@@ -242,16 +161,16 @@ def ff_set_of_graphs(
     """FF(G,H): the union over every edge map of its divisor set.
 
     All of N iff some map has gcd 0; empty iff H is edgeless while G is
-    not.  Digon unions are answered by ff_set_digons; any other pair by
-    the gcd histogram, under its frontier-entry budget.
+    not.  Digon unions are answered by ff_set_digons when its cone steps,
+    about max(a) * sum(a) * (|B| + 1) for source sizes a and target sizes
+    B, fit the budget; otherwise, and for any other pair, by the gcd
+    histogram under its frontier-entry budget.
     """
-    cone = _digon_route(g, h)
-    if cone is not None:
-        source, target = (
-            cone.DigonFamily(frozenset(len(part) for part in cone.as_digon_union(x)))
-            for x in (g, h)
-        )
-        return cone.ff_set_digons(source, target)
+    families = _digon_families(g, h)
+    if families is not None:
+        a, b = (family.multiplicities for family in families)
+        if max(a) * sum(a) * (len(b) + 1) <= budget:
+            return ff_set_digons(*families)
     return FFSet.from_gcds(gcd_histogram(g, h, budget))
 
 
@@ -312,9 +231,8 @@ def exists_ff_map(
     if h.num_edges == 0:
         return SearchOutcome("none", None, 0)
 
-    cone = _digon_route(g, h)
-    if cone is not None:
-        witness = cone.digon_union_witness(g, h, n)
+    if _digon_families(g, h) is not None:
+        witness = digon_union_witness(g, h, n)
         if witness is None:
             return SearchOutcome("none", None, 0)
         return SearchOutcome("found", witness, 0)

@@ -12,10 +12,10 @@ one seed, so failures reproduce exactly.
 import random
 from dataclasses import dataclass
 
-from .algebra import Group, direct_product, exponent, parse_group
+from .algebra import FFSet, Group, direct_product, exponent, parse_group
 from .constructions import DigonFamily, ff_set_digons
 from .decide import EdgeMap, is_ff_group, oracle_count_ff_maps, oracle_is_ff_group
-from .ffsets import FFSet, gcd_histogram, subcubic_equivalence_check
+from .ffsets import gcd_histogram, subcubic_equivalence_check
 from .flows import count_nowhere_zero_flows, enumerate_flows, filter_flows
 from .graphs import MultiDigraph, digon, dicycle, k4, loop, petersen, spanning_structure
 

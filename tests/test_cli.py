@@ -117,6 +117,22 @@ def test_ffset_reports_budget_state(capsys):
     assert record["budget_state"]["maps_covered"] == 1
 
 
+def test_digits_past_the_int_text_cap_print_in_full(capsys):
+    # 1000**1500 maps: 4,501 digits, past the 4,300 Python turns to text
+    # by default; parse_int=str reads them back without that cap
+    everything = "1" + "0" * 4500
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run_cli(capsys, "--json", "ffset", "--g", "dicycle:1500", "--h", "dicycle:1000")
+    record = json.loads(out, parse_int=str)
+    assert code == 0 and record["kind"] == "all_of_N"
+    assert record["budget_state"]["maps_covered"] == everything
+    code, out, _ = run_cli(
+        capsys, "count", "--g", "dicycle:1500", "--h", "dicycle:1000", "--group", "Z1"
+    )
+    assert code == 0 and out.strip() == everything
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
 def test_ffset_budget_exhaustion_is_unknown(capsys):
     # the frontier for k4 -> digon:3 needs 1,131 entries
     code, out, err = run_cli(
@@ -125,6 +141,12 @@ def test_ffset_budget_exhaustion_is_unknown(capsys):
     assert code == 2
     assert out.startswith("unknown:")
     assert err == ""
+    # two digon unions: the cone needs about 2e10 steps, so the frontier
+    # runs instead and passes the budget at its first level
+    code, out, _ = run_cli(
+        capsys, "ffset", "--g", "digon:100000", "--h", "digon:7", "--budget", "10"
+    )
+    assert code == 2 and out.startswith("unknown:")
 
 
 def test_env_budget_override(capsys, monkeypatch):

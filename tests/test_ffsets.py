@@ -119,6 +119,14 @@ def test_gcd_histogram_budget_counts_frontier_entries():
     assert gcd_histogram(digon(4), digon(3), budget=300) == {1: 60, 2: 18, 4: 3}
 
 
+def test_ff_set_digons_route_fits_its_cone_steps_in_the_budget():
+    # the cone takes max(a) * sum(a) * (|B| + 1) = 9 * 9 * 2 steps; below
+    # that the frontier runs instead, and its second level passes 161
+    assert ff_set_of_graphs(digon(9), digon(7), budget=162) == FFSet.from_members([1, 2, 3, 9])
+    with pytest.raises(BudgetExceededError, match="frontier entries"):
+        ff_set_of_graphs(digon(9), digon(7), budget=161)
+
+
 def test_ff_set_scan_keeps_states_not_maps():
     assert ff_set_of_graphs(dicycle(10), k4()) == ff_set_of_graphs(dicycle(6), k4())
     # 6**12 = 2.2e9 maps, answered within 10**5 frontier entries
