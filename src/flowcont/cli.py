@@ -283,7 +283,9 @@ def cmd_selftest(args) -> CommandResult:
     lines = [f"seed {args.seed}"]
     for r in results:
         verdict = "ok" if r.passed else "FAIL"
-        lines.append(f"{r.name}: {r.checks} checks, {verdict}")
+        lines.append(
+            f"{r.name}: {r.checks} checks, {verdict} ({r.seconds:.3f} s, {r.checks_per_s:.0f} checks/s)"
+        )
         for failure in r.failures[:5]:
             lines.append(f"  {failure}")
     payload = {
@@ -294,6 +296,8 @@ def cmd_selftest(args) -> CommandResult:
                 "checks": r.checks,
                 "passed": r.passed,
                 "failures": list(r.failures),
+                "seconds": r.seconds,
+                "checks_per_s": r.checks_per_s,
             }
             for r in results
         ],

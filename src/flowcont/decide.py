@@ -29,9 +29,11 @@ from .flows import (
     DEFAULT_MAP_BUDGET,
     BudgetExceededError,
     GroupVector,
+    _flow_batches,
+    _kirchhoff_fails,
+    _vectors,
     circuit_matrix,
-    enumerate_flows,
-    is_flow,
+    incidence_matrix,
 )
 from .graphs import MultiDigraph, SignedEdgeVector
 
@@ -212,11 +214,13 @@ def refuting_flows(f: EdgeMap, m: Group, budget: int = DEFAULT_FLOW_BUDGET):
     """Flows on the target whose pullback breaks Kirchhoff on the source.
 
     Empty iff f is flow-continuous over m.  Enumeration order follows
-    enumerate_flows, so the first refutation is deterministic.
+    enumerate_flows, so the first refutation is deterministic.  Each batch
+    of flows is pulled back whole and tested at every source vertex.
     """
-    for phi in enumerate_flows(f.target, m, budget):
-        if not is_flow(f.source, pull_back(f, phi), m):
-            yield phi
+    assignment = np.array(f.assignment, dtype=np.intp)
+    incidence = incidence_matrix(f.source)
+    for batch in _flow_batches(f.target, m, budget):
+        yield from _vectors(batch[_kirchhoff_fails(incidence, batch[:, assignment], m)])
 
 
 def oracle_refutation(
@@ -240,15 +244,17 @@ def oracle_count_ff_maps(
     """Number of edge maps G -> H flow-continuous over m, by definition.
 
     Checks every flow on H against every map; the budget caps those flow
-    checks.  Exists to validate count_ff_maps, not to be fast.
+    checks.  Holds H's flows, at most the budget of them, for the whole
+    scan.  Exists to validate count_ff_maps, not to be fast.
     """
-    flows = list(enumerate_flows(h, m, budget))
-    size = h.num_edges**g.num_edges
-    if size * max(1, len(flows)) > budget:
-        raise BudgetExceededError(size * len(flows), budget, what="flow checks")
+    flows = list(_flow_batches(h, m, budget))
+    checks = h.num_edges**g.num_edges * sum(map(len, flows))
+    if checks > budget:
+        raise BudgetExceededError(checks, budget, what="flow checks")
+    incidence = incidence_matrix(g)
     count = 0
     for assignment in itertools.product(range(h.num_edges), repeat=g.num_edges):
-        f = EdgeMap(g, h, assignment)
-        if all(is_flow(g, pull_back(f, phi), m) for phi in flows):
+        pulled = np.array(assignment, dtype=np.intp)
+        if not any(_kirchhoff_fails(incidence, batch[:, pulled], m).any() for batch in flows):
             count += 1
     return count

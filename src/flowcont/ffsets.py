@@ -39,7 +39,8 @@ def ff_set_of_map(f: EdgeMap) -> FFSet:
 
 
 def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None = None, budget: int | None = None):
-    """(gcd -> map count, first finishing map or None, states expanded).
+    """(gcd -> map count, first finishing map or None, states expanded,
+    frontier entries built).
 
     One pass over the non-loop source edges in index order.  A state is
     (g, open rows): the discrepancy rows of the source vertices that still
@@ -55,11 +56,12 @@ def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None = None, budget: in
     they were first reached in, so each state's first arrival is its
     lexicographically first prefix; the first final state, traced back,
     is the first finishing map.  Given n, only FF_n maps finish.  The
-    histogram is None once the frontier entries built pass the budget.
+    histogram is None once the frontier entries built pass the budget,
+    and the entries are then those counted up to the level that passed it.
     """
     eh = h.num_edges
     if g.num_edges and not eh:
-        return {}, None, 0
+        return {}, None, 0, 0
     # bridges of H, and edges in series on a cycle, share a circuit row;
     # the first target edge carrying a row stands for all of them
     rows, first, multiplicity = np.unique(
@@ -86,7 +88,7 @@ def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None = None, budget: in
                 states = np.hstack([states, np.zeros((len(states), width), dtype=np.int64)])
         entries += len(states) * len(rows) * states.shape[1]
         if budget is not None and entries > budget:
-            return None, None, expanded
+            return None, None, expanded, entries
         expanded += len(states)
         step = np.tile(rows, (len(states), 1))
         states = np.repeat(states, len(rows), axis=0)
@@ -104,7 +106,7 @@ def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None = None, budget: in
         # g only loses divisors, so a state whose g is not n never ends FF_n
         alive = np.flatnonzero(folded == n) if n is not None else np.arange(len(states))
         if not len(alive):
-            return {}, None, expanded
+            return {}, None, expanded, entries
         folded = folded[alive]
         rest = states[np.ix_(alive, kept)]
         np.remainder(rest, folded[:, None], out=rest, where=folded[:, None] != 0)
@@ -125,7 +127,8 @@ def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None = None, budget: in
     for arrival in reversed(arrivals):
         state, candidate = divmod(int(arrival[state]), len(rows))
         chosen.append(int(first[candidate]))
-    return histogram, tuple(0 if tail == head else chosen.pop() for tail, head in g.edges), expanded
+    witness = tuple(0 if tail == head else chosen.pop() for tail, head in g.edges)
+    return histogram, witness, expanded, entries
 
 
 def gcd_histogram(
@@ -138,9 +141,9 @@ def gcd_histogram(
     One frontier pass builds it exactly.  The budget caps the frontier
     entries built; BudgetExceededError is raised once they would pass it.
     """
-    histogram = _frontier(g, h, budget=budget)[0]
+    histogram, _, _, entries = _frontier(g, h, budget=budget)
     if histogram is None:
-        raise BudgetExceededError(budget + 1, budget, what="frontier entries or more")
+        raise BudgetExceededError(entries, budget, what="frontier entries or more")
     return histogram
 
 
@@ -237,7 +240,7 @@ def exists_ff_map(
             return SearchOutcome("none", None, 0)
         return SearchOutcome("found", witness, 0)
 
-    histogram, witness, nodes = _frontier(g, h, n, budget)
+    histogram, witness, nodes, _ = _frontier(g, h, n, budget)
     if histogram is None:
         return SearchOutcome("unknown", None, nodes)
     if witness is None:

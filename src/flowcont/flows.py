@@ -7,10 +7,15 @@ digraph generate the full flow space (the incidence matrix is totally
 unimodular); ``filter_flows`` exists purely to validate that fact against
 the definition, so the two must never be merged.
 
-Exhaustive enumerations are guarded by a vector budget (default 10**7).
+Enumerations run on integer arrays.  A batch holds at most BATCH vectors
+as a (vectors, edges, factors) array of residues, int64 where every sum
+formed from it provably fits and Python ints (dtype=object) otherwise, so
+results are exact at any group order.  An enumeration keeps one batch in
+memory whatever its budget, and builds tuples only for the vectors it
+hands out.  Exhaustive enumerations are guarded by a vector budget
+(default 10**7).
 """
 
-import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -84,15 +89,19 @@ def _check_dimension(g: MultiDigraph, vector: Sequence) -> None:
 def is_flow(g: MultiDigraph, phi: Sequence, m: Group) -> bool:
     """Kirchhoff's law at every vertex: out-sum equals in-sum in m.
 
-    A loop contributes to both sides and therefore cancels.
+    A loop contributes to both sides and therefore cancels.  Coordinates
+    are added as plain ints and each vertex sum is reduced once.
     """
     _check_dimension(g, phi)
-    vec = group_vector(m, phi)
-    sums = [m.zero()] * g.vertex_count
-    for value, (tail, head) in zip(vec, g.edges):
-        sums[tail] = m.add(sums[tail], value)
-        sums[head] = m.add(sums[head], m.neg(value))
-    return all(m.is_zero(s) for s in sums)
+    sums = [[0] * m.num_factors for _ in range(g.vertex_count)]
+    for value, (tail, head) in zip(phi, g.edges):
+        coords = (value,) if isinstance(value, int) else value
+        if len(coords) != m.num_factors:
+            raise ValueError(f"element needs {m.num_factors} coordinates, got {len(coords)}")
+        for k, x in enumerate(coords):
+            sums[tail][k] += x
+            sums[head][k] -= x
+    return all(m.is_zero(m.element(s)) for s in sums)
 
 
 def is_tension(g: MultiDigraph, tau: Sequence, m: Group) -> bool:
@@ -112,12 +121,74 @@ def is_tension(g: MultiDigraph, tau: Sequence, m: Group) -> bool:
     return True
 
 
-def _require_finite(m: Group) -> int:
+def _require_finite(m: Group) -> None:
     if not m.is_finite:
         raise ValueError("flow enumeration needs a finite group")
-    order = m.order()
-    assert order is not None
-    return order
+
+
+BATCH = 1024  # vectors per batch
+
+
+def _dtype(bound: int):
+    """int64 when no value reaches bound in size, else Python ints."""
+    return np.int64 if bound < 2**63 else object
+
+
+def _grid_batches(radices: list[int], budget: int) -> Iterator[np.ndarray]:
+    """Every digit string under the radices, lexicographic, as (rows,
+    digits) arrays of at most BATCH rows; the budget caps the strings.
+
+    The longest tail of digits that fits a batch is laid out as a grid
+    and the digit before it is cut into chunks; earlier digits are
+    counted in Python ints, so nothing is indexed across the whole space.
+    """
+    needed = math.prod(radices)
+    if needed > budget:
+        raise BudgetExceededError(needed, budget)
+    dtype = _dtype(max(radices, default=1))
+    if not radices:
+        yield np.zeros((1, 0), dtype=dtype)
+        return
+    inner = math.prod(radices[1:])
+    if inner > BATCH:
+        for first in range(radices[0]):
+            for rest in _grid_batches(radices[1:], budget):
+                yield np.column_stack([np.full(len(rest), first, dtype=dtype), rest])
+        return
+    rest = np.indices(radices[1:]).reshape(len(radices) - 1, inner).T
+    for lo in range(0, radices[0], BATCH // inner):
+        values = np.array(range(lo, min(lo + BATCH // inner, radices[0])), dtype=dtype)
+        yield np.column_stack([np.repeat(values, inner), np.tile(rest, (len(values), 1))])
+
+
+def _flow_batches(g: MultiDigraph, m: Group, budget: int) -> Iterator[np.ndarray]:
+    """The m-flows of g in enumerate_flows order, as (rows, edges,
+    factors) residue arrays of at most BATCH rows."""
+    _require_finite(m)
+    basis = circuit_matrix(g)
+    # an entry sums one coefficient per circuit
+    dtype = _dtype(max(1, basis.shape[1]) * max(m.orders, default=1))
+    basis = basis.astype(dtype)
+    moduli = np.array(m.orders, dtype=dtype)
+    for digits in _grid_batches(list(m.orders) * basis.shape[1], budget):
+        coefficients = digits.astype(dtype).reshape(len(digits), basis.shape[1], m.num_factors)
+        # (edges, circuits) @ (rows, circuits, factors) -> (rows, edges, factors)
+        yield (basis @ coefficients) % moduli
+
+
+def _kirchhoff_fails(incidence: np.ndarray, vectors: np.ndarray, m: Group) -> np.ndarray:
+    """Per vector of a (rows, edges, factors) batch of m's residues:
+    whether Kirchhoff's law fails at some vertex of the graph whose
+    incidence_matrix is given, which adds each edge's value at its tail
+    and subtracts it at its head."""
+    dtype = _dtype(max(1, incidence.shape[1]) * max(m.orders, default=1))
+    sums = incidence.astype(dtype) @ vectors.astype(dtype, copy=False)
+    return (sums % np.array(m.orders, dtype=dtype) != 0).any(axis=(1, 2))
+
+
+def _vectors(batch: np.ndarray) -> Iterator[GroupVector]:
+    """The rows of a batch as group vectors of plain ints."""
+    return (tuple(map(tuple, row)) for row in batch.tolist())
 
 
 def enumerate_flows(
@@ -128,20 +199,8 @@ def enumerate_flows(
     Exactly |m| ** cyclomatic_number distinct vectors, in lexicographic
     order of the coefficient tuples (cyclic factors ordered as given).
     """
-    order = _require_finite(m)
-    circuits = spanning_structure(g).circuits
-    needed = order ** len(circuits)
-    if needed > budget:
-        raise BudgetExceededError(needed, budget)
-
-    num_edges = g.num_edges
-    elements = list(m.elements())
-    for coefficients in itertools.product(elements, repeat=len(circuits)):
-        flow = [m.zero()] * num_edges
-        for coefficient, steps in zip(coefficients, circuits):
-            for i, sign in steps:
-                flow[i] = m.add(flow[i], m.scale(sign, coefficient))
-        yield tuple(flow)
+    for batch in _flow_batches(g, m, budget):
+        yield from _vectors(batch)
 
 
 def filter_flows(
@@ -152,21 +211,17 @@ def filter_flows(
     Same set as enumerate_flows; kept separate so the circuit generator can
     be validated against the raw Kirchhoff condition.
     """
-    order = _require_finite(m)
-    needed = order**g.num_edges
-    if needed > budget:
-        raise BudgetExceededError(needed, budget)
-    for candidate in itertools.product(m.elements(), repeat=g.num_edges):
-        if is_flow(g, candidate, m):
-            yield candidate
+    _require_finite(m)
+    incidence = incidence_matrix(g)
+    for digits in _grid_batches(list(m.orders) * g.num_edges, budget):
+        batch = digits.reshape(len(digits), g.num_edges, m.num_factors)
+        yield from _vectors(batch[~_kirchhoff_fails(incidence, batch, m)])
 
 
 def count_nowhere_zero_flows(
     g: MultiDigraph, m: Group, budget: int = DEFAULT_FLOW_BUDGET
 ) -> int:
     """Number of flows with no edge carrying the zero element."""
-    count = 0
-    for flow in enumerate_flows(g, m, budget):
-        if all(any(c != 0 for c in value) for value in flow):
-            count += 1
-    return count
+    return sum(
+        int((batch != 0).any(axis=2).all(axis=1).sum()) for batch in _flow_batches(g, m, budget)
+    )

@@ -6,11 +6,12 @@ the raw Kirchhoff filter, the gcd decision against the definitional
 oracle, product and exponent laws, the below-degree equivalence of FF_n
 with FF_Z, cone analysis against exhaustive map enumeration, and
 flow-count invariance for equal-order groups.  All instances derive from
-one seed, so failures reproduce exactly.
+one seed, so failures reproduce exactly; only the suite times vary.
 """
 
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 from .algebra import FFSet, Group, direct_product, exponent, parse_group
 from .constructions import DigonFamily, ff_set_digons
@@ -27,10 +28,16 @@ class SuiteResult:
     name: str
     checks: int
     failures: tuple[str, ...]
+    # wall time of the suite, set by run_selftest; no part of the outcome
+    seconds: float = field(default=0.0, compare=False)
 
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    @property
+    def checks_per_s(self) -> float:
+        return self.checks / self.seconds if self.seconds else 0.0
 
 
 def random_multidigraph(
@@ -71,16 +78,20 @@ def _groups_upto(order: int) -> list[Group]:
 
 
 def suite_flow_span(rng: random.Random, trials: int) -> SuiteResult:
-    """Circuit combinations produce exactly the Kirchhoff-filtered flows."""
+    """Circuit combinations produce exactly the Kirchhoff-filtered flows,
+    in increasing order of their circuit coefficients."""
     failures = []
     checks = 0
     for t in range(trials):
         g = random_multidigraph(rng, max_vertices=4, max_edges=4)
         m = rng.choice(_groups_upto(4))
         checks += 1
-        spanned = sorted(enumerate_flows(g, m))
-        filtered = sorted(filter_flows(g, m))
-        if spanned != filtered:
+        spanned = list(enumerate_flows(g, m))
+        # a flow's coefficient on a circuit is its value on the circuit's own edge
+        own_edges = [steps[0][0] for steps in spanning_structure(g).circuits]
+        coefficients = [tuple(phi[i] for i in own_edges) for phi in spanned]
+        in_order = all(a < b for a, b in zip(coefficients, coefficients[1:]))
+        if not in_order or sorted(spanned) != sorted(filter_flows(g, m)):
             failures.append(f"trial {t}: {g.vertex_count}v/{g.edges} over {m}")
     return SuiteResult("flow-span", checks, tuple(failures))
 
@@ -211,12 +222,18 @@ def run_selftest(seed: int = DEFAULT_SEED, deep: bool = False) -> tuple[SuiteRes
     """Run every suite from one seed; deep runs more and larger trials."""
     scale = 10 if deep else 1
     rng = random.Random(seed)
-    return (
-        suite_flow_span(rng, 30 * scale),
-        suite_oracle_agreement(rng, 40 * scale),
-        suite_product_law(rng, 20 * scale),
-        suite_exponent_counts(rng, 10 * scale),
-        suite_subcubic(rng, 15 * scale),
-        suite_digon_cone(rng, 15 * scale),
-        suite_count_invariance(rng, 4 * scale),
+    suites = (
+        (suite_flow_span, 30),
+        (suite_oracle_agreement, 40),
+        (suite_product_law, 20),
+        (suite_exponent_counts, 10),
+        (suite_subcubic, 15),
+        (suite_digon_cone, 15),
+        (suite_count_invariance, 4),
     )
+    results = []
+    for suite, trials in suites:
+        start = time.perf_counter()
+        result = suite(rng, trials * scale)
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return tuple(results)

@@ -149,6 +149,19 @@ def test_ffset_budget_exhaustion_is_unknown(capsys):
     assert code == 2 and out.startswith("unknown:")
 
 
+def test_refusal_reports_the_frontier_entries_counted(capsys):
+    # k4 -> digon:3 passes a budget of 10 at its first level, after 15
+    # entries, and the whole pass builds 1,131
+    code, out, _ = run_cli(capsys, "ffset", "--g", "k4", "--h", "digon:3", "--budget", "10")
+    assert code == 2
+    assert out.strip() == "unknown: enumeration needs 15 frontier entries or more, budget is 10"
+    code, record, _ = run_json(capsys, "ffset", "--g", "k4", "--h", "digon:3", "--budget", "1130")
+    assert code == 2
+    assert record["message"] == "enumeration needs 1131 frontier entries or more, budget is 1130"
+    code, out, _ = run_cli(capsys, "ffset", "--g", "k4", "--h", "digon:3", "--budget", "1131")
+    assert code == 0 and out.strip() == "1 2"
+
+
 def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("FF_BUDGET", "10")
     code, _, _ = run_cli(capsys, "ffset", "--g", "k4", "--h", "digon:3")
@@ -253,6 +266,18 @@ def test_selftest_smoke(capsys):
     assert record["status"] == "yes"
     assert len(record["suites"]) == 7
     assert all(suite["passed"] for suite in record["suites"])
+
+
+def test_selftest_reports_time_per_suite(capsys):
+    code, record, _ = run_json(capsys, "selftest", "--seed", "5")
+    assert code == 0
+    for suite in record["suites"]:
+        assert suite["seconds"] > 0
+        assert suite["checks_per_s"] == pytest.approx(suite["checks"] / suite["seconds"])
+    code, out, _ = run_cli(capsys, "selftest", "--seed", "5")
+    lines = out.splitlines()[1:]
+    assert len(lines) == 7
+    assert all(line.endswith(" checks/s)") and " s, " in line for line in lines)
 
 
 def test_usage_errors_exit_3(capsys):

@@ -66,6 +66,9 @@ def test_loop_carries_any_flow_value():
 def test_flow_dimension_mismatch():
     with pytest.raises(ValueError):
         is_flow(digon(2), (1,), parse_group("Z2"))
+    # an entry with the wrong number of coordinates
+    with pytest.raises(ValueError):
+        is_flow(digon(2), ((1, 0), (1, 0)), parse_group("Z2"))
 
 
 def test_star_tensions_are_tensions():
