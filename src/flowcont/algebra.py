@@ -2,9 +2,10 @@
 abelian groups.
 
 Everything here uses Python's arbitrary-precision integers, so there is no
-overflow at any input size.  A group is a free rank plus a tuple of cyclic
-orders; an element is a plain tuple of ints, one per factor, with residues
-held in ``[0, order)``.  The trivial group is ``Group(0, ())``.  An
+overflow at any input size; the one array, the cone table, holds term
+counts no larger than its length.  A group is a free rank plus a tuple of
+cyclic orders; an element is a plain tuple of ints, one per factor, with
+residues held in ``[0, order)``.  The trivial group is ``Group(0, ())``.  An
 FFSet is a down-set of positive integers under divisibility, the shape
 of every flow-continuity set.
 """
@@ -13,6 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 GroupElement = tuple[int, ...]
 
@@ -157,10 +160,17 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 def _antichain(values) -> frozenset[int]:
+    """The divisibility-maximal values.  Each x is tested against its
+    multiples or the values, whichever are fewer: sum(min(max / x, k))."""
     kept = set(values)
-    return frozenset(
-        x for x in kept if not any(y != x and y % x == 0 for y in kept)
-    )
+    top = max(kept, default=0)
+
+    def dominated(x: int) -> bool:
+        if top // x <= len(kept):
+            return any(y in kept for y in range(2 * x, top + 1, x))
+        return any(y != x and y % x == 0 for y in kept)
+
+    return frozenset(x for x in kept if not dominated(x))
 
 
 @dataclass(frozen=True)
@@ -238,23 +248,59 @@ class FFSet:
         return "{" + " ".join(str(m) for m in self.members()) + "}"
 
 
-def cone_member(target: int, generators: Iterable[int]) -> bool:
-    """Is target a nonnegative integer combination of the generators?
+def cone_counts(limit: int, generators: Iterable[int]) -> np.ndarray:
+    """Entry x, for x in 0..limit, is the fewest generator terms (repeats
+    allowed) that sum to x, or -1 when x is outside their cone.
 
-    Reachability DP over 0..target; O(target * len(generators)).
+    One numpy pass per generator b over the residue classes mod b sets
+    count[r + k*b] to k + min over j <= k of (count[r + j*b] - j), the
+    best count below plus k - j copies of b: O(limit * len(generators))
+    time, O(limit) memory (Boecker & Liptak, Algorithmica 2007).
     """
-    if target < 0:
-        raise ValueError(f"cone target must be nonnegative, got {target}")
-    gens = sorted(set(int(s) for s in generators))
-    if any(s < 1 for s in gens):
-        raise ValueError("cone generators must be positive")
-    reachable = [False] * (target + 1)
-    reachable[0] = True
-    for s in gens:
-        for v in range(s, target + 1):
-            if reachable[v - s]:
-                reachable[v] = True
-    return reachable[target]
+    if limit < 0:
+        raise ValueError(f"cone target must be nonnegative, got {limit}")
+    gens = sorted(set(int(b) for b in generators))
+    if gens and gens[0] < 1:
+        raise ValueError(f"cone generators must be positive, got {gens[0]}")
+    # every count that is reached stays <= limit, so `unreached` marks the rest
+    unreached = limit + 1
+    counts = np.full(limit + 1, unreached, dtype=np.int64)
+    counts[0] = 0
+    for b in gens:
+        if b > limit:
+            break
+        rows = limit // b + 1
+        grid = np.append(counts, np.full(rows * b - limit - 1, unreached)).reshape(rows, b)
+        k = np.arange(rows)[:, None]
+        counts = (k + np.minimum.accumulate(grid - k, axis=0)).ravel()[: limit + 1]
+    counts[counts >= unreached] = -1
+    return counts
+
+
+def cone_member(target: int, generators: Iterable[int]) -> bool:
+    """Is target a nonnegative integer combination of the generators?  One
+    cone_counts table: O(target * len(generators)) time, O(target) memory."""
+    return bool(cone_counts(target, generators)[target] >= 0)
+
+
+def decompose_in_cone(target: int, generators: Iterable[int]) -> tuple[int, ...] | None:
+    """Write target as a sum of generators (repeats allowed), or None.
+
+    Among all decompositions, the fewest terms win; ties go to the
+    lexicographically smallest sorted term tuple.  Read off cone_counts
+    by taking, at each step, the smallest generator that leaves one term
+    fewer: a smaller later term would have been a feasible first pick.
+    """
+    gens = sorted(set(int(b) for b in generators))
+    counts = cone_counts(target, gens).tolist()
+    if counts[target] < 0:
+        return None
+    terms, x = [], target
+    while x:
+        b = next(b for b in gens if b <= x and counts[x - b] == counts[x] - 1)
+        terms.append(b)
+        x -= b
+    return tuple(terms)
 
 
 def next_prime_above(x: int) -> int:
@@ -280,8 +326,3 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def gcd_all(values: Iterable[int]) -> int:
-    """gcd of absolute values; 0 for an empty or all-zero collection."""
-    return math.gcd(*(int(v) for v in values))

@@ -7,13 +7,15 @@ realizing a prescribed divisor set), selftest (seeded cross-checks).
 
 Exit codes: 0 yes/pass, 1 no/fail, 2 unknown (budget ran out before a
 decision), 3 usage or input error, 4 internal error (a crash such as a
-stack overflow; never an answer).  --json prints one JSON object on
-stdout; plain output otherwise.  FF_BUDGET in the environment overrides
-the default budget, and --budget overrides both.  ffset, count and search
-budget the frontier entries of the map-space pass; count --method oracle
-budgets flow checks.  On two digon unions, search uses cone arithmetic,
-and so does ffset when the cone steps fit the budget.  Counts and
-map-space sizes are printed in full, however many digits they have.
+stack overflow, or stdout closed before the answer was written; never an
+answer).  --json prints one JSON object on stdout; plain output
+otherwise.  FF_BUDGET in the environment overrides the default budget,
+and --budget overrides both.  ffset, count and search budget the
+frontier entries of the map-space pass; count --method oracle budgets
+flow checks.  On two digon unions, search and ffset use cone arithmetic,
+which reads no budget and needs memory linear in the largest source
+digon.  Counts and map-space sizes are printed in full, however many
+digits they have.
 
 Graph arguments take a file path or builtin syntax "name" / "name:k",
 with comma-separated parts unioned ("digon:9,digon:4").  Map arguments
@@ -74,7 +76,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_budget() -> int:
+def _budget_from(args) -> int:
+    """--budget, else FF_BUDGET from the environment, else the default."""
+    if getattr(args, "budget", None) is not None:
+        return args.budget
     raw = os.environ.get("FF_BUDGET")
     if raw is None:
         return DEFAULT_MAP_BUDGET
@@ -85,12 +90,6 @@ def _default_budget() -> int:
     if value < 1:
         raise ValueError(f"FF_BUDGET must be positive, got {value}")
     return value
-
-
-def _budget_from(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    return _default_budget()
 
 
 def parse_graph_argument(text: str) -> MultiDigraph:
@@ -238,10 +237,9 @@ def cmd_search(args) -> CommandResult:
         }
         lines = (f"# witness map, flow-continuous for {label}",) + tuple(body.splitlines())
         return CommandResult("yes", payload, EXIT_YES, lines)
-    if outcome.status == "none":
-        payload = {"modulus": label, "witness": None, "nodes": outcome.nodes}
-        return CommandResult("no", payload, EXIT_NO, ("none",))
     payload = {"modulus": label, "witness": None, "nodes": outcome.nodes}
+    if outcome.status == "none":
+        return CommandResult("no", payload, EXIT_NO, ("none",))
     return CommandResult(
         "unknown", payload, EXIT_UNKNOWN,
         (f"unknown: budget exhausted after {outcome.nodes} nodes",),
@@ -393,7 +391,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the answer went undelivered, so never a "no"; devnull quiets the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,15 +3,19 @@
 A digon with multiplicity a is two vertices joined by a parallel edges.
 For disjoint unions of digons, existence of an FF_n map has a purely
 arithmetic answer: each source multiplicity must lie in the integer cone
-of the target multiplicities together with n.  That criterion powers a
-fast set computation, an explicit map construction, and the headline
-construction here: given any finite set of positive integers, build a
-pair of digraphs whose FF set is exactly the divisor down-closure of it.
+of the target multiplicities together with n.  One cone table
+(algebra.cone_counts) answers that in memory linear in the largest
+multiplicity, so no budget applies.  It powers the set computation, an
+explicit map construction, and the headline construction here: given any
+finite set of positive integers, build a pair of digraphs whose FF set is
+exactly the divisor down-closure of it.
 """
 
 from dataclasses import dataclass
 
-from .algebra import FFSet, _antichain, cone_member, divisors, next_prime_above
+import numpy as np
+
+from .algebra import FFSet, _antichain, cone_counts, decompose_in_cone, next_prime_above
 from .decide import EdgeMap, ff_gcd
 from .graphs import MultiDigraph, digon, disjoint_union
 
@@ -57,47 +61,25 @@ def as_digon_union(g: MultiDigraph) -> tuple[tuple[int, ...], ...] | None:
     return tuple(tuple(indices) for indices in ordered)
 
 
-def decompose_in_cone(target: int, generators) -> tuple[int, ...] | None:
-    """Write target as a sum of generators (repeats allowed), or None.
-
-    Among all decompositions, the fewest terms win; ties go to the
-    lexicographically smallest sorted term tuple.  Deterministic.
-    """
-    if target < 0:
-        raise ValueError(f"target must be nonnegative, got {target}")
-    gens = sorted(set(int(b) for b in generators))
-    if gens and gens[0] < 1:
-        raise ValueError(f"generators must be positive, got {gens[0]}")
-    best: list[tuple[int, ...] | None] = [None] * (target + 1)
-    best[0] = ()
-    for x in range(1, target + 1):
-        for b in gens:
-            if b > x or best[x - b] is None:
-                continue
-            candidate = tuple(sorted(best[x - b] + (b,)))
-            if best[x] is None or (len(candidate), candidate) < (len(best[x]), best[x]):
-                best[x] = candidate
-    return best[target]
-
-
 def ff_set_digons(source: DigonFamily, target: DigonFamily) -> FFSet:
-    """FF set of a pair of digon unions, by cone membership alone.
+    """FF set of a pair of digon unions, by cone arithmetic alone.
 
     All of N when every source multiplicity is already a sum of target
     ones; otherwise n is a member iff adding n as a generator repairs
-    every source multiplicity, which can only happen for n up to the
-    largest source multiplicity.
+    every source multiplicity a, i.e. some a - k*n is a sum of target
+    ones, which can only happen for n up to the largest a.  One cone
+    table up to the largest a answers every n.
     """
     a_values = sorted(source.multiplicities)
-    b_values = sorted(target.multiplicities)
-    if all(cone_member(a, b_values) for a in a_values):
+    top = a_values[-1]
+    reach = cone_counts(top, target.multiplicities) >= 0
+    if reach[a_values].all():
         return FFSet.everything()
-    members = [
-        n
-        for n in range(1, max(a_values) + 1)
-        if all(cone_member(a, sorted(set(b_values) | {n})) for a in a_values)
-    ]
-    return FFSet.from_members(members)
+    member = np.zeros(top + 1, dtype=bool)
+    for n in range(1, top + 1):
+        member[n] = all(reach[a % n : a + 1 : n].any() for a in a_values)
+    maximal = (n for n in range(1, top + 1) if member[n] and not member[2 * n :: n].any())
+    return FFSet(all_of_n=False, maximal_elements=frozenset(maximal))
 
 
 def digon_union_witness(g: MultiDigraph, h: MultiDigraph, n: int) -> EdgeMap | None:
@@ -118,27 +100,19 @@ def digon_union_witness(g: MultiDigraph, h: MultiDigraph, n: int) -> EdgeMap | N
     if not target_parts:
         return None
 
-    first_of_size: dict[int, tuple[int, ...]] = {}
-    for part in target_parts:
-        first_of_size.setdefault(len(part), part)
-    generators = set(first_of_size)
-    if n >= 1:
-        generators.add(n)
+    first_of_size = {len(part): part for part in reversed(target_parts)}
+    generators = set(first_of_size) | ({n} if n >= 1 else set())
 
+    # a remainder term (b == n) leaves its edges on target edge 0
     assignment = [0] * g.num_edges
     for part in source_parts:
-        terms = decompose_in_cone(len(part), sorted(generators))
+        terms = decompose_in_cone(len(part), generators)
         if terms is None:
             return None
         cursor = 0
         for b in terms:
-            if b in first_of_size:
-                for k, target_edge in enumerate(first_of_size[b]):
-                    assignment[part[cursor + k]] = target_edge
-            else:
-                # remainder block: b == n, all onto one fixed edge
-                for k in range(b):
-                    assignment[part[cursor + k]] = 0
+            for k, target_edge in enumerate(first_of_size.get(b, ())):
+                assignment[part[cursor + k]] = target_edge
             cursor += b
 
     witness = EdgeMap(g, h, tuple(assignment))
@@ -220,15 +194,8 @@ class WitnessReport:
 
 def verify_witness(plan: WitnessPlan) -> WitnessReport:
     """Recompute the plan's FF set and compare with its promise."""
-    expected_members: set[int] = set()
-    for t in plan.targets:
-        expected_members.update(divisors(t))
-    expected = FFSet.from_members(expected_members)
-    if not plan.target_digons:
-        computed = FFSet.from_gcds([])
-    else:
-        computed = ff_set_digons(
-            DigonFamily(frozenset(plan.source_digons)),
-            DigonFamily(frozenset(plan.target_digons)),
-        )
+    expected = FFSet.from_gcds(plan.targets)
+    computed = FFSet.from_gcds([])
+    if plan.target_digons:
+        computed = ff_set_digons(DigonFamily(plan.source_digons), DigonFamily(plan.target_digons))
     return WitnessReport(computed == expected, computed, expected)

@@ -35,7 +35,7 @@ from .flows import (
     circuit_matrix,
     incidence_matrix,
 )
-from .graphs import MultiDigraph, SignedEdgeVector
+from .graphs import MultiDigraph
 
 
 @dataclass(frozen=True)
@@ -100,18 +100,6 @@ def parse_edge_map(text: str, source: MultiDigraph, target: MultiDigraph) -> Edg
 def format_edge_map(f: EdgeMap) -> str:
     """Serialize in the format parse_edge_map reads."""
     return "".join(f"{j}\n" for j in f.assignment)
-
-
-def algebraic_image(f: EdgeMap, tau: SignedEdgeVector) -> SignedEdgeVector:
-    """Push an integer edge vector forward: sum over each edge's preimage."""
-    if len(tau) != f.source.num_edges:
-        raise ValueError(
-            f"vector has {len(tau)} entries, source has {f.source.num_edges} edges"
-        )
-    image = [0] * f.target.num_edges
-    for value, j in zip(tau, f.assignment):
-        image[j] += value
-    return tuple(image)
 
 
 @dataclass(frozen=True)
@@ -199,15 +187,6 @@ def is_ff_group(f: EdgeMap, m: Group) -> bool:
     with a free part behaves like Z.
     """
     return is_ff_n(f, exponent(m) or 0)[0]
-
-
-def pull_back(f: EdgeMap, phi: GroupVector) -> GroupVector:
-    """The composition phi after f: source edge i carries phi[f(i)]."""
-    if len(phi) != f.target.num_edges:
-        raise ValueError(
-            f"flow has {len(phi)} entries, target has {f.target.num_edges} edges"
-        )
-    return tuple(phi[j] for j in f.assignment)
 
 
 def refuting_flows(f: EdgeMap, m: Group, budget: int = DEFAULT_FLOW_BUDGET):

@@ -16,9 +16,9 @@ seeded at n, dropping states that can no longer end FF_n.
 
 Every budget here counts frontier entries (states times state columns,
 summed over the levels), the real work and memory of the pass, never the
-|E(H)| ** |E(G)| maps of the space.  Pairs of digon unions skip the pass:
-cone arithmetic answers the search at any size, and the set whenever its
-steps fit the budget.
+|E(H)| ** |E(G)| maps of the space.  Pairs of digon unions skip the pass
+and read no budget: one cone table answers the set and the search in
+memory linear in the largest source digon.
 """
 
 import itertools
@@ -164,16 +164,13 @@ def ff_set_of_graphs(
     """FF(G,H): the union over every edge map of its divisor set.
 
     All of N iff some map has gcd 0; empty iff H is edgeless while G is
-    not.  Digon unions are answered by ff_set_digons when its cone steps,
-    about max(a) * sum(a) * (|B| + 1) for source sizes a and target sizes
-    B, fit the budget; otherwise, and for any other pair, by the gcd
-    histogram under its frontier-entry budget.
+    not.  Digon unions are answered by ff_set_digons whatever the budget,
+    in memory linear in the largest source digon; any other pair by the
+    gcd histogram under its frontier-entry budget.
     """
     families = _digon_families(g, h)
     if families is not None:
-        a, b = (family.multiplicities for family in families)
-        if max(a) * sum(a) * (len(b) + 1) <= budget:
-            return ff_set_digons(*families)
+        return ff_set_digons(*families)
     return FFSet.from_gcds(gcd_histogram(g, h, budget))
 
 
@@ -220,12 +217,13 @@ def exists_ff_map(
 ) -> SearchOutcome:
     """Search for a map G -> H that is FF_n (n = 0 for the integers).
 
-    Digon unions are decided through the integer-cone criterion, which is
-    instant at any size.  Otherwise the frontier pass of the scans runs
-    with its gcd seeded at n, dropping every state that can no longer end
-    FF_n, and the witness is the lexicographically first FF_n map.  The
-    budget caps the entries of all frontiers built; "unknown" is returned
-    once it would be passed and is never conflated with "none".
+    Digon unions are decided through the integer-cone criterion, in
+    memory linear in the largest source digon.  Otherwise the frontier
+    pass of the scans runs with its gcd seeded at n, dropping every state
+    that can no longer end FF_n, and the witness is the lexicographically
+    first FF_n map.  The budget caps the entries of all frontiers built;
+    "unknown" is returned once it would be passed and is never conflated
+    with "none".
     """
     if n < 0:
         raise ValueError(f"modulus must be nonnegative, got {n}")
@@ -236,9 +234,7 @@ def exists_ff_map(
 
     if _digon_families(g, h) is not None:
         witness = digon_union_witness(g, h, n)
-        if witness is None:
-            return SearchOutcome("none", None, 0)
-        return SearchOutcome("found", witness, 0)
+        return SearchOutcome("none" if witness is None else "found", witness, 0)
 
     histogram, witness, nodes, _ = _frontier(g, h, n, budget)
     if histogram is None:

@@ -1,11 +1,11 @@
-"""Flows and tensions over a finitely generated abelian group.
+"""Flows over a finitely generated abelian group.
 
 A group vector assigns one group element to every edge.  Flows satisfy
-Kirchhoff's law at each vertex; tensions have zero signed sum around every
-circuit.  Over any coefficient group the fundamental circuit vectors of a
-digraph generate the full flow space (the incidence matrix is totally
-unimodular); ``filter_flows`` exists purely to validate that fact against
-the definition, so the two must never be merged.
+Kirchhoff's law at each vertex.  Over any coefficient group the
+fundamental circuit vectors of a digraph generate the full flow space
+(the incidence matrix is totally unimodular); ``filter_flows`` exists
+purely to validate that fact against the definition, so the two must
+never be merged.
 
 Enumerations run on integer arrays.  A batch holds at most BATCH vectors
 as a (vectors, edges, factors) array of residues, int64 where every sum
@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .algebra import Group, GroupElement
-from .graphs import MultiDigraph, SignedEdgeVector, spanning_structure
+from .graphs import MultiDigraph, spanning_structure
 
 GroupVector = tuple[GroupElement, ...]
 
@@ -40,30 +40,9 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def group_vector(m: Group, entries: Sequence) -> GroupVector:
-    """Coerce a sequence of ints/coordinate tuples into a canonical vector."""
-    return tuple(m.element(entry) for entry in entries)
-
-
-def star_tension(g: MultiDigraph, v: int) -> SignedEdgeVector:
-    """+1 on edges leaving v, -1 on edges entering v, 0 on loops at v.
-
-    These vectors generate the whole tension space: any potential
-    assignment pi induces the tension sum_v pi(v) * star_tension(v).
-    """
-    if not (0 <= v < g.vertex_count):
-        raise ValueError(f"vertex {v} out of range")
-    coefficients = [0] * g.num_edges
-    for i, (tail, head) in enumerate(g.edges):
-        if tail == v:
-            coefficients[i] += 1
-        if head == v:
-            coefficients[i] -= 1
-    return tuple(coefficients)
-
-
 def incidence_matrix(g: MultiDigraph) -> np.ndarray:
-    """Vertex-by-edge signed incidence matrix; row v is star_tension(g, v)."""
+    """Vertex-by-edge signed incidence matrix: row v is the star at v, +1 on
+    edges leaving v, -1 on edges entering it and 0 on loops."""
     mat = np.zeros((g.vertex_count, g.num_edges), dtype=np.int64)
     for i, (tail, head) in enumerate(g.edges):
         mat[tail, i] += 1
@@ -81,18 +60,14 @@ def circuit_matrix(g: MultiDigraph) -> np.ndarray:
     return mat
 
 
-def _check_dimension(g: MultiDigraph, vector: Sequence) -> None:
-    if len(vector) != g.num_edges:
-        raise ValueError(f"vector has {len(vector)} entries, graph has {g.num_edges} edges")
-
-
 def is_flow(g: MultiDigraph, phi: Sequence, m: Group) -> bool:
     """Kirchhoff's law at every vertex: out-sum equals in-sum in m.
 
     A loop contributes to both sides and therefore cancels.  Coordinates
     are added as plain ints and each vertex sum is reduced once.
     """
-    _check_dimension(g, phi)
+    if len(phi) != g.num_edges:
+        raise ValueError(f"vector has {len(phi)} entries, graph has {g.num_edges} edges")
     sums = [[0] * m.num_factors for _ in range(g.vertex_count)]
     for value, (tail, head) in zip(phi, g.edges):
         coords = (value,) if isinstance(value, int) else value
@@ -102,23 +77,6 @@ def is_flow(g: MultiDigraph, phi: Sequence, m: Group) -> bool:
             sums[tail][k] += x
             sums[head][k] -= x
     return all(m.is_zero(m.element(s)) for s in sums)
-
-
-def is_tension(g: MultiDigraph, tau: Sequence, m: Group) -> bool:
-    """Zero signed sum around every fundamental circuit.
-
-    Sufficient for all circuits: every circuit vector is an integer
-    combination of the fundamental ones.
-    """
-    _check_dimension(g, tau)
-    vec = group_vector(m, tau)
-    for steps in spanning_structure(g).circuits:
-        total = m.zero()
-        for edge, sign in steps:
-            total = m.add(total, m.scale(sign, vec[edge]))
-        if not m.is_zero(total):
-            return False
-    return True
 
 
 def _require_finite(m: Group) -> None:

@@ -5,8 +5,8 @@ Conventions used throughout the package:
 - A graph is a vertex count plus an ordered tuple of ``(tail, head)`` pairs.
   Edges are identified by their 0-based position in that tuple.  Parallel
   edges, loops (``tail == head``) and isolated vertices are all allowed.
-- A *signed edge vector* is a plain tuple of ints, one entry per edge index.
-  Fundamental circuit vectors have coefficients in ``{-1, 0, +1}``.
+- A fundamental circuit is a tuple of ``(edge, sign)`` steps, sign +1 or -1
+  by traversal direction.
 - The text format is a ``"V E"`` header line followed by ``E`` lines
   ``"tail head"``, whitespace separated and 0-indexed.  Anything following
   a ``'#'`` on a line is a comment; blank lines are skipped.
@@ -17,8 +17,6 @@ threads.
 
 from dataclasses import dataclass
 from typing import Iterable
-
-SignedEdgeVector = tuple[int, ...]
 
 
 class GraphFormatError(ValueError):
@@ -55,12 +53,6 @@ class MultiDigraph:
             ends[head] += 1
         return max(ends, default=0)
 
-    def reverse_edge(self, i: int) -> "MultiDigraph":
-        """Copy of the graph with edge i reversed."""
-        tail, head = self.edges[i]
-        edges = self.edges[:i] + ((head, tail),) + self.edges[i + 1 :]
-        return MultiDigraph(self.vertex_count, edges)
-
 
 @dataclass(frozen=True)
 class SpanningStructure:
@@ -74,24 +66,12 @@ class SpanningStructure:
     is the cyclomatic number ``|E| - |V| + components``.
     """
 
-    edge_count: int
     forest_edges: frozenset[int]
     circuits: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def cyclomatic_number(self) -> int:
         return len(self.circuits)
-
-    @property
-    def fundamental_circuits(self) -> tuple[SignedEdgeVector, ...]:
-        """The circuits as dense signed edge vectors."""
-        dense = []
-        for steps in self.circuits:
-            coefficients = [0] * self.edge_count
-            for edge, sign in steps:
-                coefficients[edge] = sign
-            dense.append(tuple(coefficients))
-        return tuple(dense)
 
 
 def parse_digraph(text: str) -> MultiDigraph:
@@ -251,5 +231,5 @@ def spanning_structure(g: MultiDigraph) -> SpanningStructure:
                 e, w = parent_edge[w], parent[w]
                 steps.append((e, 1 if g.edges[e][0] == w else -1))
         circuits.append(tuple(steps))
-    return SpanningStructure(g.num_edges, frozenset(forest), tuple(circuits))
+    return SpanningStructure(frozenset(forest), tuple(circuits))
 

@@ -12,7 +12,6 @@ from flowcont.algebra import (
     direct_product,
     divisors,
     exponent,
-    gcd_all,
     next_prime_above,
     parse_group,
 )
@@ -127,21 +126,6 @@ def test_next_prime_above():
     assert next_prime_above(20) == 23
     assert next_prime_above(89) == 97
 
-
-def test_gcd_all():
-    assert gcd_all([]) == 0
-    assert gcd_all([0, 0]) == 0
-    assert gcd_all([4, 6]) == 2
-    assert gcd_all([-9, 6]) == 3
-    assert gcd_all([7]) == 7
-
-
-@given(st.lists(st.integers(-50, 50), max_size=6))
-def test_gcd_all_divides_everything(values):
-    g = gcd_all(values)
-    assert g >= 0
-    for v in values:
-        assert v % g == 0 if g else v == 0
 
 
 def test_scale_matches_repeated_addition():

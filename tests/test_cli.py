@@ -141,12 +141,18 @@ def test_ffset_budget_exhaustion_is_unknown(capsys):
     assert code == 2
     assert out.startswith("unknown:")
     assert err == ""
-    # two digon unions: the cone needs about 2e10 steps, so the frontier
-    # runs instead and passes the budget at its first level
+
+
+def test_ffset_digon_route_answers_under_any_budget(capsys):
+    # n is a member iff some 100000 - k*n is a multiple of 7; the maximal
+    # members are the values = 5 (mod 7) above 12,500
     code, out, _ = run_cli(
-        capsys, "ffset", "--g", "digon:100000", "--h", "digon:7", "--budget", "10"
+        capsys, "--json", "ffset", "--g", "digon:100000", "--h", "digon:7", "--budget", "10"
     )
-    assert code == 2 and out.startswith("unknown:")
+    # maps_covered, 7 ** 100000, passes the default digit cap of int()
+    record = json.loads(out, parse_int=str)
+    assert code == 0 and record["kind"] == "finite"
+    assert record["maximal_elements"] == [str(n) for n in range(12507, 100001, 7)]
 
 
 def test_refusal_reports_the_frontier_entries_counted(capsys):
@@ -314,6 +320,17 @@ def test_console_script_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 3
+
+
+def test_closed_stdout_exits_internal_without_traceback():
+    # the reader goes away before the answer is written: no answer was
+    # delivered, so the exit is 4, never a "no"
+    argv = [sys.executable, "-m", "flowcont.cli", "ffset", "--g", "digon:9", "--h", "digon:7"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_INTERNAL
+    assert "Traceback" not in err
 
 
 def test_json_errors_go_to_stdout(capsys):

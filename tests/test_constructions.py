@@ -3,12 +3,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowcont.algebra import divisors
+from flowcont.algebra import decompose_in_cone, divisors
 from flowcont.constructions import (
     DigonFamily,
     as_digon_union,
     build_witness,
-    decompose_in_cone,
     digon_union_witness,
     ff_set_digons,
     verify_witness,

@@ -119,12 +119,10 @@ def test_gcd_histogram_budget_counts_frontier_entries():
     assert gcd_histogram(digon(4), digon(3), budget=300) == {1: 60, 2: 18, 4: 3}
 
 
-def test_ff_set_digons_route_fits_its_cone_steps_in_the_budget():
-    # the cone takes max(a) * sum(a) * (|B| + 1) = 9 * 9 * 2 steps; below
-    # that the frontier runs instead, and its second level passes 161
-    assert ff_set_of_graphs(digon(9), digon(7), budget=162) == FFSet.from_members([1, 2, 3, 9])
-    with pytest.raises(BudgetExceededError, match="frontier entries"):
-        ff_set_of_graphs(digon(9), digon(7), budget=161)
+def test_ff_set_digons_route_reads_no_budget():
+    # the frontier's second level would pass 161 entries; the cone table
+    # needs memory linear in the source digon, so no budget applies
+    assert ff_set_of_graphs(digon(9), digon(7), budget=1) == FFSet.from_members([1, 2, 3, 9])
 
 
 def test_ff_set_scan_keeps_states_not_maps():
