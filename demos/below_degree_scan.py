@@ -2,9 +2,10 @@
 
 When every vertex of the source has degree smaller than n, being
 flow-continuous mod n is the same as being flow-continuous over the
-integers.  This scans all 46656 maps from K4 to itself for n from 4 to
-8 and reports the agreement, plus a contrast case where the degree
-condition fails and the two notions split.
+integers.  This checks all 46656 maps from K4 to itself, through one
+gcd histogram, for n from 4 to 8 and reports the agreement, plus a
+contrast case where the degree condition fails and the two notions
+split.
 """
 
 import time

@@ -13,7 +13,9 @@ commands = [
     ["check", "--g", "digon:3", "--h", "dicycle:3", "--map", "identity", "--group", "Z3"],
     ["check", "--g", "k4", "--h", "digon:3", "--map", "0,1,2,2,1,0", "--group", "Z3"],
     ["ffset", "--g", "digon:9", "--h", "digon:7"],
-    ["count", "--g", "digon:2", "--h", "digon:3", "--group", "Z6", "--cross-check", "Z2xZ3"],
+    # Z6 and Z2xZ3 share exponent 6, so the two counts are equal
+    ["count", "--g", "digon:2", "--h", "digon:3", "--group", "Z6"],
+    ["count", "--g", "digon:2", "--h", "digon:3", "--group", "Z2xZ3"],
     ["search", "--g", "digon:9", "--h", "digon:7", "--n", "6"],
     ["search", "--g", "dicycle:3", "--h", "digon:2", "--n", "2"],
 ]

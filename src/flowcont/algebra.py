@@ -79,9 +79,6 @@ class Group:
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.element(x + y for x, y in zip(a, b, strict=True))
 
-    def neg(self, a: GroupElement) -> GroupElement:
-        return self.element(-x for x in a)
-
     def scale(self, k: int, a: GroupElement) -> GroupElement:
         """Integer multiple k*a."""
         return self.element(k * x for x in a)
@@ -204,18 +201,6 @@ class FFSet:
         values = set(int(x) for x in gcds)
         if 0 in values:
             return cls.everything()
-        return cls(all_of_n=False, maximal_elements=_antichain(values))
-
-    @classmethod
-    def from_members(cls, members) -> "FFSet":
-        """A finite set given by full membership; must be a down-set."""
-        values = set(int(x) for x in members)
-        for x in values:
-            if x < 1:
-                raise ValueError(f"member {x} must be positive")
-            for d in divisors(x):
-                if d not in values:
-                    raise ValueError(f"not a down-set: {x} in, divisor {d} out")
         return cls(all_of_n=False, maximal_elements=_antichain(values))
 
     def contains(self, n: int) -> bool:

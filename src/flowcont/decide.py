@@ -123,7 +123,8 @@ def discrepancy(f: EdgeMap) -> np.ndarray:
     of the algebraic image of the star tension at source vertex v; all of
     flow-continuity is encoded in the divisibility of these int64 entries.
     Source edge i adds row f(i) of C at its tail and subtracts it at its
-    head, O(E_G * cyc_H) in all; entries stay within E_G, exact in int64.
+    head, O(E_G * cyc_H) in all.  Circuit rows hold -1, 0 and 1 and a
+    loop cancels itself, so |D[v,c]| <= deg(v), exact in int64.
     """
     # flat indices take numpy's fast ufunc.at path; chunks bound the memory
     circ = circuit_matrix(f.target)

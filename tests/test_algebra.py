@@ -52,13 +52,13 @@ def test_element_coercion_and_arithmetic():
     assert m.zero() == (0, 0)
     assert m.element((5, -1)) == (1, 2)
     assert m.add((1, 2), (1, 2)) == (0, 1)
-    assert m.neg((1, 1)) == (1, 2)
+    assert m.scale(-1, (1, 1)) == (1, 2)
     assert m.scale(4, (1, 1)) == (0, 1)
     assert m.is_zero((0, 0)) and not m.is_zero((1, 0))
     single = parse_group("Z5")
     assert single.element(7) == (2,)  # bare int accepted for one factor
     assert INTEGERS.element(-3) == (-3,)
-    assert INTEGERS.neg((4,)) == (-4,)
+    assert INTEGERS.scale(-1, (4,)) == (-4,)
 
 
 def test_elements_enumeration():
@@ -135,4 +135,4 @@ def test_scale_matches_repeated_addition():
     for k in range(7):
         assert m.scale(k, x) == total
         total = m.add(total, x)
-    assert m.scale(-2, x) == m.neg(m.scale(2, x))
+    assert m.scale(-2, x) == m.scale(-1, m.scale(2, x))

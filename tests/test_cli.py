@@ -186,30 +186,22 @@ def test_count_and_cross_check(capsys):
     code, record, _ = run_json(
         capsys, "count", "--g", "digon:2", "--h", "digon:2", "--group", "Z2"
     )
-    assert code == 0 and record["count"] == 4
-    code, record, _ = run_json(
-        capsys, "count", "--g", "digon:2", "--h", "digon:3", "--group", "Z6",
-        "--cross-check", "Z2xZ3",
-    )
-    assert code == 0
-    assert record["cross_check"]["equal"] is True
-    assert record["cross_check"]["count"] == record["count"]
-
-
-def test_count_cross_check_needs_matching_exponent(capsys):
-    code, out, err = run_cli(
-        capsys, "count", "--g", "digon:2", "--h", "digon:2", "--group", "Z4",
-        "--cross-check", "Z3",
-    )
-    assert code == 3 and out == "" and "exponent" in err
-
-
-def test_count_oracle_method(capsys):
-    code, record, _ = run_json(
-        capsys, "count", "--g", "digon:2", "--h", "digon:2", "--group", "Z3",
-        "--method", "oracle",
-    )
-    assert code == 0 and record["count"] == 2
+    assert code == 0 and record == {"status": "yes", "group": "Z2", "count": 4}
+    # Z6 and Z2xZ3 share exponent 6, so their counts agree
+    outputs = []
+    for group in ("Z6", "Z2xZ3"):
+        code, out, _ = run_cli(
+            capsys, "count", "--g", "digon:2", "--h", "digon:3", "--group", group
+        )
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    # the count has one route; there is no option to pick another
+    with pytest.raises(SystemExit) as info:
+        cli.main(
+            ["count", "--g", "digon:2", "--h", "digon:2", "--group", "Z3", "--method", "oracle"]
+        )
+    assert info.value.code == 3 and "--method" in capsys.readouterr().err
 
 
 def test_search_found_output_is_a_map_file(capsys):

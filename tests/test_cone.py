@@ -3,16 +3,24 @@
 The references below are the package's former routes: cone membership as
 a reachability DP over 0..target, the decomposition as a DP that keeps the
 best sorted term tuple for every x up to the target, the FF set of two
-digon unions as one membership DP per candidate n followed by
-FFSet.from_members, and the antichain as the quadratic definition.  The
-table's answers must be identical.
+digon unions as one membership DP per candidate n, checked to be a
+down-set under divisibility before FFSet.from_gcds reads it, and the
+antichain as the quadratic definition.  The table's answers must be
+identical.
 """
 
 import time
 
 from hypothesis import given, settings, strategies as st
 
-from flowcont.algebra import FFSet, _antichain, cone_counts, cone_member, decompose_in_cone
+from flowcont.algebra import (
+    FFSet,
+    _antichain,
+    cone_counts,
+    cone_member,
+    decompose_in_cone,
+    divisors,
+)
 from flowcont.constructions import DigonFamily, ff_set_digons
 
 
@@ -49,7 +57,8 @@ def reference_ff_set_digons(a_values, b_values):
         for n in range(1, max(a_values) + 1)
         if all(reference_cone_member(a, set(b_values) | {n}) for a in a_values)
     ]
-    return FFSet.from_members(members)
+    assert all(d in members for n in members for d in divisors(n))
+    return FFSet.from_gcds(members)
 
 
 def reference_antichain(values):

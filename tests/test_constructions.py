@@ -124,7 +124,7 @@ def test_build_witness_plans():
     assert verify_witness(plan).passed
     # small enough for a full scan over the actual pair of digraphs
     full = FFSet.from_gcds(gcd_histogram(g, h))
-    assert full == FFSet.from_members({1})
+    assert full == FFSet.from_gcds([1])
 
     g, h, plan = build_witness({2, 3})
     assert plan.prime == 13 and plan.companion == 17
@@ -139,7 +139,7 @@ def test_build_witness_normalizes_divisors():
     assert direct.prime == 17 and direct.companion == 22
     report = verify_witness(direct)
     assert report.passed
-    assert report.computed == FFSet.from_members(divisors(4))
+    assert report.computed == FFSet.from_gcds(divisors(4))
 
 
 def test_build_witness_empty_set():
@@ -176,7 +176,7 @@ def test_build_witness_realizes_divisor_closure(targets):
         expected.update(divisors(t))
     report = verify_witness(plan)
     assert report.passed
-    assert report.expected == FFSet.from_members(expected)
+    assert report.expected == FFSet.from_gcds(expected)
     # member side double-checked by building an actual map and taking
     # its gcd on the full witness pair
     for n in sorted(expected):

@@ -40,7 +40,7 @@ def reference_is_flow(g, phi, m):
     sums = [m.zero()] * g.vertex_count
     for value, (tail, head) in zip(vec, g.edges):
         sums[tail] = m.add(sums[tail], value)
-        sums[head] = m.add(sums[head], m.neg(value))
+        sums[head] = m.add(sums[head], m.scale(-1, value))
     return all(m.is_zero(s) for s in sums)
 
 
