@@ -17,9 +17,13 @@ can no longer end FF_n.
 
 Every budget here counts frontier entries (states times state columns,
 summed over the levels), the real work and memory of the pass, never the
-|E(H)| ** |E(G)| maps of the space.  Pairs of digon unions skip the pass
-and read no budget: one cone table answers the set and the search in
-memory linear in the largest source digon.
+|E(H)| ** |E(G)| maps of the space.  The pass holds its states as int16
+and builds each level in fixed blocks, so the refused petersen ->
+petersen scan gives up after about 10 s at 279 MB maximum resident
+memory, where building each level at once took 1,151 MB (2-core host,
+Python 3.11, numpy 2.4).  Pairs of digon unions skip the pass and read
+no budget: one cone table answers the set and the search in memory
+linear in the largest source digon.
 """
 
 from dataclasses import dataclass
@@ -36,6 +40,11 @@ from .graphs import MultiDigraph
 def ff_set_of_map(f: EdgeMap) -> FFSet:
     """{n : f is FF_n}: all of N when ff_gcd is 0, else its divisors."""
     return FFSet.from_gcds([ff_gcd(f)])
+
+
+# candidates built at a time: a level with more is expanded in blocks of
+# whole parent states, each merged on its own before one merge of them all
+BLOCK = 2**13
 
 
 def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None, budget: int):
@@ -60,6 +69,15 @@ def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None, budget: int):
     and the entries are then those counted up to the level that passed it.
     An edgeless source finishes the empty map, and a source with edges
     into an edgeless target finishes none, both with no state expanded.
+
+    Memory follows the states kept, not the candidates built.  A level of
+    more than BLOCK candidates is expanded, filtered and merged BLOCK at a
+    time, and the blocks' survivors are merged once more; that keeps each
+    state's smallest candidate index, so first arrivals are unchanged.
+    States are int16: |D[v,c]| <= deg(v), so an entry reduced mod g, which
+    is below max(n, Δ(G)), grows by at most Δ(G) before it is reduced
+    again, and only when that sum reaches 2^15 are they int64.  A level
+    whose candidates hardly merge peaks at about 10 bytes per entry.
     """
     eh = h.num_edges
     if g.num_edges and not eh:
@@ -70,7 +88,10 @@ def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None, budget: int):
         circuit_matrix(h), axis=0, return_index=True, return_counts=True
     )
     order = np.argsort(first)
-    rows, first, multiplicity = rows[order], first[order], multiplicity[order]
+    first, multiplicity = first[order], multiplicity[order]
+    delta = g.max_degree()
+    entry = np.int16 if max(n or 0, delta) + delta < 2**15 else np.int64
+    rows = rows[order].astype(entry)
     width = rows.shape[1]
     edges = [(tail, head) for tail, head in g.edges if tail != head]
     loops = g.num_edges - len(edges)
@@ -78,48 +99,59 @@ def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None, budget: int):
     # a count never exceeds |E(H)| ** (edges so far); past int64, use Python ints
     dtype = np.int64 if eh ** len(edges) < 2**63 else object
     opened: list[int] = []
-    # column 0 holds g, then one block of width columns per open vertex
-    states = np.full((1, 1), n or 0, dtype=np.int64)
+    # column 0 holds g, then width columns per open vertex
+    states = np.full((1, 1), n or 0, dtype=entry)
     counts = np.ones(1, dtype=dtype)
     arrivals = []
     expanded = entries = 0
     for k, (tail, head) in enumerate(edges):
-        for v in (tail, head):
-            if v not in opened:
-                opened.append(v)
-                states = np.hstack([states, np.zeros((len(states), width), dtype=np.int64)])
+        fresh = [v for v in (tail, head) if v not in opened]
+        opened += fresh
+        if fresh:
+            grown = np.zeros((len(states), len(fresh) * width), dtype=entry)
+            states = np.hstack([states, grown])
         entries += len(states) * len(rows) * states.shape[1]
         if entries > budget:
             return None, None, expanded, entries
         expanded += len(states)
-        step = np.tile(rows, (len(states), 1))
-        states = np.repeat(states, len(rows), axis=0)
-        counts = np.repeat(counts, len(rows)) * np.tile(multiplicity, len(counts))
         at_tail = 1 + opened.index(tail) * width
         at_head = 1 + opened.index(head) * width
-        states[:, at_tail : at_tail + width] += step
-        states[:, at_head : at_head + width] -= step
-
-        blocks = [range(1 + s * width, 1 + (s + 1) * width) for s in range(len(opened))]
-        closing = [x for s, v in enumerate(opened) if last[v] == k for x in blocks[s]]
-        kept = [x for s, v in enumerate(opened) if last[v] != k for x in blocks[s]]
+        columns = [range(1 + s * width, 1 + (s + 1) * width) for s in range(len(opened))]
+        closing = [0] + [x for s, v in enumerate(opened) if last[v] == k for x in columns[s]]
+        kept = [0] + [x for s, v in enumerate(opened) if last[v] != k for x in columns[s]]
         opened = [v for v in opened if last[v] != k]
-        folded = np.gcd.reduce(states[:, [0] + closing], axis=1)
-        # g only loses divisors, so a state whose g is not n never ends FF_n
-        alive = np.flatnonzero(folded == n) if n is not None else np.arange(len(states))
-        if not len(alive):
+
+        merged = []
+        per_block = max(1, BLOCK // len(rows))
+        for start in range(0, len(states), per_block):
+            parents = states[start : start + per_block]
+            step = np.tile(rows, (len(parents), 1))
+            candidates = np.repeat(parents, len(rows), axis=0)
+            candidates[:, at_tail : at_tail + width] += step
+            candidates[:, at_head : at_head + width] -= step
+            folded = np.gcd.reduce(candidates[:, closing], axis=1)
+            # g only loses divisors, so a state whose g is not n never ends FF_n
+            alive = np.flatnonzero(folded == n) if n is not None else np.arange(len(folded))
+            if not len(alive):
+                continue
+            folded = folded[alive]
+            keys = candidates[np.ix_(alive, kept)]
+            keys[:, 0] = folded
+            rest = keys[:, 1:]
+            np.remainder(rest, folded[:, None], out=rest, where=folded[:, None] != 0)
+            weights = np.repeat(counts[start : start + per_block], len(rows))
+            weights = (weights * np.tile(multiplicity, len(parents)))[alive]
+            merged.append(_merge(keys, weights, alive + start * len(rows)))
+        if not merged:
             return {}, None, expanded, entries
-        folded = folded[alive]
-        rest = states[np.ix_(alive, kept)]
-        np.remainder(rest, folded[:, None], out=rest, where=folded[:, None] != 0)
-        states, seen, inverse = np.unique(
-            np.column_stack([folded, rest]), axis=0, return_index=True, return_inverse=True
-        )
-        merged = np.zeros(len(states), dtype=dtype)
-        np.add.at(merged, inverse.ravel(), counts[alive])
-        order = np.argsort(seen)
-        states, counts = states[order], merged[order]
-        arrivals.append(alive[seen[order]])
+        if len(merged) > 1:
+            # blocks run in candidate order, so a state's first row is its first arrival
+            parts = [np.concatenate(part) for part in zip(*merged)]
+            merged.clear()  # free the blocks before the merge sorts their survivors
+            merged.append(_merge(*parts))
+            del parts
+        states, counts, arrival = merged[0]
+        arrivals.append(arrival)
     # every vertex has closed, so each state is its gcd alone
     histogram = {
         int(value): int(count) * eh**loops
@@ -131,6 +163,17 @@ def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None, budget: int):
         chosen.append(int(first[candidate]))
     witness = tuple(0 if tail == head else chosen.pop() for tail, head in g.edges)
     return histogram, witness, expanded, entries
+
+
+def _merge(keys, weights, arrivals):
+    """Equal rows of keys as one state each, in the order first reached:
+    (states, summed weights, arrival of each state's first row)."""
+    _, seen, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    counts = np.zeros(len(seen), dtype=weights.dtype)
+    np.add.at(counts, inverse.ravel(), weights)
+    order = np.argsort(seen)
+    first = seen[order]
+    return keys[first], counts[order], arrivals[first]
 
 
 def gcd_histogram(
@@ -233,7 +276,10 @@ def exists_ff_map(
         witness = digon_union_witness(g, h, n)
         return SearchOutcome("none" if witness is None else "found", witness, 0)
 
-    histogram, witness, nodes, _ = _frontier(g, h, n, budget)
+    # past 2 * Δ(G) residues mod n are injective on the entries' range
+    # [-Δ, Δ], so the pass seeded at n makes the same states as at n = 0
+    seed = n if n <= 2 * g.max_degree() else 0
+    histogram, witness, nodes, _ = _frontier(g, h, seed, budget)
     if histogram is None:
         return SearchOutcome("unknown", None, nodes)
     if witness is None:

@@ -228,6 +228,17 @@ def test_search_modulus_z(capsys):
     assert code == 0 and record["modulus"] == "Z" and record["gcd"] == 0
 
 
+@pytest.mark.parametrize("target", ["petersen", "k4"])
+def test_search_past_int64_modulus_answers_as_z(capsys, target):
+    # every entry lies in [-3, 3], so no modulus past 6 tells states apart
+    # that n = 0 does not
+    huge = run_json(capsys, "search", "--g", "k4", "--h", target, "--n", str(10**20))
+    integers = run_json(capsys, "search", "--g", "k4", "--h", target, "--n", "0")
+    assert huge[0] == integers[0]
+    for key in ("status", "witness", "nodes"):
+        assert huge[1][key] == integers[1][key]
+
+
 def test_search_rejects_negative_modulus(capsys):
     code, out, err = run_cli(capsys, "search", "--g", "digon:2", "--h", "digon:2", "--n", "-4")
     assert code == 3 and out == "" and "modulus" in err

@@ -133,12 +133,12 @@ def test_count_past_int64_is_exact():
 
 
 @st.composite
-def multigraphs(draw):
-    """Up to 4 vertices and 5 edges: loops, parallel edges, isolated
-    vertices and several components all occur."""
-    n = draw(st.integers(1, 4))
+def multigraphs(draw, max_vertices=4, max_edges=5):
+    """Up to 4 vertices and 5 edges by default: loops, parallel edges,
+    isolated vertices and several components all occur."""
+    n = draw(st.integers(1, max_vertices))
     ends = st.integers(0, n - 1)
-    return MultiDigraph(n, tuple(draw(st.lists(st.tuples(ends, ends), max_size=5))))
+    return MultiDigraph(n, tuple(draw(st.lists(st.tuples(ends, ends), max_size=max_edges))))
 
 
 @settings(max_examples=60, deadline=None)
