@@ -9,13 +9,12 @@ Exit codes: 0 yes/pass, 1 no/fail, 2 unknown (budget ran out before a
 decision), 3 usage or input error, 4 internal error (a crash such as a
 stack overflow, or stdout closed before the answer was written; never an
 answer).  --json prints one JSON object on stdout; plain output
-otherwise.  FF_BUDGET in the environment overrides the default budget,
-and --budget overrides both.  ffset, count and search budget the
+otherwise.  ffset, count and search take --budget, a positive cap on the
 frontier entries of the map-space pass.  Every answer comes by one
 route; the definitional oracles re-check those routes in selftest only.
 On two digon unions, search and ffset use cone arithmetic, which reads
 no budget and needs memory linear in the largest source digon.  Counts
-and map-space sizes are printed in full, however many digits they have.
+are printed in full, however many digits they have.
 
 Graph arguments take a file path or builtin syntax "name" / "name:k",
 with comma-separated parts unioned ("digon:9,digon:4").  Map arguments
@@ -75,19 +74,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _budget_from(args) -> int:
-    """--budget, else FF_BUDGET from the environment, else the default."""
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    raw = os.environ.get("FF_BUDGET")
-    if raw is None:
-        return DEFAULT_MAP_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"FF_BUDGET must be an integer, got {raw!r}") from None
+def positive_int(text: str) -> int:
+    """argparse type of --budget: an integer of at least 1."""
+    value = int(text)
     if value < 1:
-        raise ValueError(f"FF_BUDGET must be positive, got {value}")
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -162,41 +153,28 @@ def cmd_check(args) -> CommandResult:
     )
 
 
-def _ffset_payload(ff_set, extra: dict | None = None) -> tuple[dict, tuple[str, ...]]:
-    payload = dict(ff_set.to_json())
-    if extra:
-        payload.update(extra)
-    if ff_set.all_of_n:
-        lines = ("all n >= 1",)
-    elif not ff_set.maximal_elements:
-        lines = ("empty: no map exists",)
-    else:
-        lines = (" ".join(str(n) for n in ff_set.members()),)
-    return payload, lines
-
-
 def cmd_ffset(args) -> CommandResult:
     source = parse_graph_argument(args.g)
     target = parse_graph_argument(args.h)
-    budget = _budget_from(args)
+    payload = {}
     if args.map is not None:
-        f = parse_map_argument(args.map, source, target)
-        gcd_value = ff_gcd(f)
-        ff_set = FFSet.from_gcds([gcd_value])
-        extra = {"gcd": gcd_value, "budget_state": {"budget": budget, "maps_covered": 1}}
-        payload, lines = _ffset_payload(ff_set, extra)
-        return CommandResult("yes", payload, EXIT_YES, lines)
-    ff_set = ff_set_of_graphs(source, target, budget=budget)
-    state = {"budget": budget, "maps_covered": target.num_edges**source.num_edges}
-    payload, lines = _ffset_payload(ff_set, {"budget_state": state})
-    return CommandResult("yes", payload, EXIT_YES, lines)
+        payload["gcd"] = ff_gcd(parse_map_argument(args.map, source, target))
+        ff_set = FFSet.from_gcds([payload["gcd"]])
+    else:
+        ff_set = ff_set_of_graphs(source, target, budget=args.budget)
+    payload.update(ff_set.to_json())
+    if ff_set.all_of_n:
+        line = "all n >= 1"
+    else:
+        line = " ".join(str(n) for n in ff_set.members()) or "empty: no map exists"
+    return CommandResult("yes", payload, EXIT_YES, (line,))
 
 
 def cmd_count(args) -> CommandResult:
     source = parse_graph_argument(args.g)
     target = parse_graph_argument(args.h)
     m = parse_group(args.group)
-    count = count_ff_maps(source, target, m, budget=_budget_from(args))
+    count = count_ff_maps(source, target, m, budget=args.budget)
     return CommandResult("yes", {"group": str(m), "count": count}, EXIT_YES, (f"{count}",))
 
 
@@ -204,7 +182,7 @@ def cmd_search(args) -> CommandResult:
     source = parse_graph_argument(args.g)
     target = parse_graph_argument(args.h)
     n = _parse_modulus(args.n)
-    outcome = exists_ff_map(source, target, n, budget=_budget_from(args))
+    outcome = exists_ff_map(source, target, n, budget=args.budget)
     label = "Z" if n == 0 else str(n)
     if outcome.status == "found":
         witness = outcome.witness
@@ -301,22 +279,23 @@ def build_parser() -> argparse.ArgumentParser:
     ffset.add_argument("--g", required=True)
     ffset.add_argument("--h", required=True)
     ffset.add_argument("--map", help="restrict to one map instead of all maps")
-    ffset.add_argument("--budget", type=int, help="frontier entry budget")
     ffset.set_defaults(handler=cmd_ffset)
 
     count = commands.add_parser("count", help="count flow-continuous maps")
     count.add_argument("--g", required=True)
     count.add_argument("--h", required=True)
     count.add_argument("--group", required=True)
-    count.add_argument("--budget", type=int)
     count.set_defaults(handler=cmd_count)
 
     search = commands.add_parser("search", help="find a flow-continuous map")
     search.add_argument("--g", required=True)
     search.add_argument("--h", required=True)
     search.add_argument("--n", required=True, help="modulus, or Z for the integers")
-    search.add_argument("--budget", type=int)
     search.set_defaults(handler=cmd_search)
+    for budgeted in (ffset, count, search):
+        budgeted.add_argument(
+            "--budget", type=positive_int, default=DEFAULT_MAP_BUDGET, help="frontier entry budget"
+        )
 
     construct = commands.add_parser(
         "construct", help="build a pair realizing a divisor down-set"
@@ -351,7 +330,7 @@ def _render(result: CommandResult, json_mode: bool) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # counts and map-space sizes are printed in full, past the
+    # counts are printed in full, past the
     # interpreter's default cap on the digits of an int turned to text
     digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digit_cap:

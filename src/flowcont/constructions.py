@@ -91,10 +91,14 @@ def digon_union_witness(g: MultiDigraph, h: MultiDigraph, n: int) -> EdgeMap | N
     remainder term sends n source edges onto target edge 0.  Choices are
     lowest-index throughout, so the witness is deterministic.
     """
-    source_parts = as_digon_union(g)
-    target_parts = as_digon_union(h)
-    if source_parts is None or target_parts is None:
+    parts = as_digon_union(g), as_digon_union(h)
+    if None in parts:
         raise ValueError("both graphs must be digon unions")
+    return _digon_witness(g, h, *parts, n)
+
+
+def _digon_witness(g, h, source_parts, target_parts, n) -> EdgeMap | None:
+    """digon_union_witness given as_digon_union of g and of h."""
     if not source_parts:
         return EdgeMap(g, h, ())
     if not target_parts:

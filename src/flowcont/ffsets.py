@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FFSet, Group, exponent
-from .constructions import DigonFamily, as_digon_union, digon_union_witness, ff_set_digons
+from .constructions import DigonFamily, _digon_witness, as_digon_union, ff_set_digons
 from .decide import EdgeMap, ff_gcd
 from .flows import DEFAULT_MAP_BUDGET, BudgetExceededError, circuit_matrix
 from .graphs import MultiDigraph
@@ -192,13 +192,11 @@ def gcd_histogram(
     return histogram
 
 
-def _digon_families(g: MultiDigraph, h: MultiDigraph) -> tuple[DigonFamily, DigonFamily] | None:
-    """G's and H's digon multiplicities when both are digon unions with
+def _digon_parts(g: MultiDigraph, h: MultiDigraph):
+    """as_digon_union of G and of H when both are digon unions with
     edges, whose map questions cone arithmetic answers; else None."""
-    parts = [as_digon_union(x) for x in (g, h)]
-    if not all(parts):
-        return None
-    return tuple(DigonFamily(frozenset(len(part) for part in x)) for x in parts)
+    parts = as_digon_union(g), as_digon_union(h)
+    return parts if all(parts) else None
 
 
 def ff_set_of_graphs(
@@ -213,9 +211,9 @@ def ff_set_of_graphs(
     in memory linear in the largest source digon; any other pair by the
     gcd histogram under its frontier-entry budget.
     """
-    families = _digon_families(g, h)
-    if families is not None:
-        return ff_set_digons(*families)
+    parts = _digon_parts(g, h)
+    if parts is not None:
+        return ff_set_digons(*(DigonFamily(frozenset(map(len, x))) for x in parts))
     return FFSet.from_gcds(gcd_histogram(g, h, budget))
 
 
@@ -272,8 +270,9 @@ def exists_ff_map(
     """
     if n < 0:
         raise ValueError(f"modulus must be nonnegative, got {n}")
-    if _digon_families(g, h) is not None:
-        witness = digon_union_witness(g, h, n)
+    parts = _digon_parts(g, h)
+    if parts is not None:
+        witness = _digon_witness(g, h, *parts, n)
         return SearchOutcome("none" if witness is None else "found", witness, 0)
 
     # past 2 * Δ(G) residues mod n are injective on the entries' range

@@ -7,13 +7,14 @@ fundamental circuit vectors of a digraph generate the full flow space
 purely to validate that fact against the definition, so the two must
 never be merged.
 
-Enumerations run on integer arrays.  A batch holds at most BATCH vectors
-as a (vectors, edges, factors) array of residues, int64 where every sum
-formed from it provably fits and Python ints (dtype=object) otherwise, so
-results are exact at any group order.  An enumeration keeps one batch in
-memory whatever its budget, and builds tuples only for the vectors it
-hands out.  Exhaustive enumerations are guarded by a vector budget
-(default 10**7).
+Enumerations run on integer arrays.  A batch decodes at most BATCH
+consecutive indices of a mixed radix (the group orders, once per circuit
+or edge) into a (vectors, edges, factors) array of residues, int64 where
+every sum formed from it provably fits and Python ints (dtype=object)
+otherwise, so results are exact at any group order.  An enumeration
+keeps one batch in memory whatever its budget, and builds tuples only
+for the vectors it hands out.  Exhaustive enumerations are guarded by a
+vector budget (default 10**7).
 """
 
 import math
@@ -95,28 +96,19 @@ def _dtype(bound: int):
 def _grid_batches(radices: list[int], budget: int) -> Iterator[np.ndarray]:
     """Every digit string under the radices, lexicographic, as (rows,
     digits) arrays of at most BATCH rows; the budget caps the strings.
-
-    The longest tail of digits that fits a batch is laid out as a grid
-    and the digit before it is cut into chunks; earlier digits are
-    counted in Python ints, so nothing is indexed across the whole space.
-    """
+    A batch decodes consecutive indices with // and % per digit, since
+    object arrays, which hold indices past int64, have no divmod."""
     needed = math.prod(radices)
     if needed > budget:
         raise BudgetExceededError(needed, budget)
-    dtype = _dtype(max(radices, default=1))
-    if not radices:
-        yield np.zeros((1, 0), dtype=dtype)
-        return
-    inner = math.prod(radices[1:])
-    if inner > BATCH:
-        for first in range(radices[0]):
-            for rest in _grid_batches(radices[1:], budget):
-                yield np.column_stack([np.full(len(rest), first, dtype=dtype), rest])
-        return
-    rest = np.indices(radices[1:]).reshape(len(radices) - 1, inner).T
-    for lo in range(0, radices[0], BATCH // inner):
-        values = np.array(range(lo, min(lo + BATCH // inner, radices[0])), dtype=dtype)
-        yield np.column_stack([np.repeat(values, inner), np.tile(rest, (len(values), 1))])
+    dtype = _dtype(needed)
+    for start in range(0, needed, BATCH):
+        index = np.array(range(start, min(start + BATCH, needed)), dtype=dtype)
+        digits = np.empty((len(index), len(radices)), dtype=dtype)
+        for k in reversed(range(len(radices))):
+            digits[:, k] = index % radices[k]
+            index //= radices[k]
+        yield digits
 
 
 def _flow_batches(g: MultiDigraph, m: Group, budget: int) -> Iterator[np.ndarray]:

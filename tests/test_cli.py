@@ -107,25 +107,22 @@ def test_ffset_scan_and_text_output(capsys):
     assert code == 0 and out.strip() == "1"
 
 
-def test_ffset_reports_budget_state(capsys):
+def test_ffset_json_keys(capsys):
     code, record, _ = run_json(capsys, "ffset", "--g", "digon:4", "--h", "digon:3")
     assert code == 0
-    assert record["budget_state"]["maps_covered"] == 81
+    assert set(record) == {"status", "kind", "maximal_elements"}
     code, record, _ = run_json(
         capsys, "ffset", "--g", "digon:6", "--h", "loop", "--map", "constant:0"
     )
-    assert record["budget_state"]["maps_covered"] == 1
+    assert code == 0
+    assert set(record) == {"status", "kind", "maximal_elements", "gcd"}
 
 
 def test_digits_past_the_int_text_cap_print_in_full(capsys):
     # 1000**1500 maps: 4,501 digits, past the 4,300 Python turns to text
-    # by default; parse_int=str reads them back without that cap
+    # by default
     everything = "1" + "0" * 4500
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    code, out, _ = run_cli(capsys, "--json", "ffset", "--g", "dicycle:1500", "--h", "dicycle:1000")
-    record = json.loads(out, parse_int=str)
-    assert code == 0 and record["kind"] == "all_of_N"
-    assert record["budget_state"]["maps_covered"] == everything
     code, out, _ = run_cli(
         capsys, "count", "--g", "dicycle:1500", "--h", "dicycle:1000", "--group", "Z1"
     )
@@ -149,10 +146,9 @@ def test_ffset_digon_route_answers_under_any_budget(capsys):
     code, out, _ = run_cli(
         capsys, "--json", "ffset", "--g", "digon:100000", "--h", "digon:7", "--budget", "10"
     )
-    # maps_covered, 7 ** 100000, passes the default digit cap of int()
-    record = json.loads(out, parse_int=str)
+    record = json.loads(out)
     assert code == 0 and record["kind"] == "finite"
-    assert record["maximal_elements"] == [str(n) for n in range(12507, 100001, 7)]
+    assert record["maximal_elements"] == list(range(12507, 100001, 7))
 
 
 def test_refusal_reports_the_frontier_entries_counted(capsys):
@@ -168,18 +164,24 @@ def test_refusal_reports_the_frontier_entries_counted(capsys):
     assert code == 0 and out.strip() == "1 2"
 
 
-def test_env_budget_override(capsys, monkeypatch):
-    monkeypatch.setenv("FF_BUDGET", "10")
-    code, _, _ = run_cli(capsys, "ffset", "--g", "k4", "--h", "digon:3")
-    assert code == 2
-    # the --budget flag wins over the environment
-    code, out, _ = run_cli(
-        capsys, "ffset", "--g", "k4", "--h", "digon:3", "--budget", "2000"
-    )
-    assert code == 0 and out.strip() == "1 2"
-    monkeypatch.setenv("FF_BUDGET", "zero")
-    code, _, err = run_cli(capsys, "ffset", "--g", "digon:4", "--h", "digon:3")
-    assert code == 3 and "FF_BUDGET" in err
+@pytest.mark.parametrize("budget", ["0", "-1", "-5"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ffset", "--g", "k4", "--h", "k4"],
+        ["--json", "ffset", "--g", "digon:3", "--h", "digon:2"],
+        ["count", "--g", "digon:2", "--h", "digon:2", "--group", "Z2"],
+        ["search", "--g", "loop", "--h", "k4", "--n", "2"],
+    ],
+    ids=["ffset", "ffset-json", "count", "search"],
+)
+def test_a_budget_below_one_is_a_usage_error(capsys, command, budget):
+    with pytest.raises(SystemExit) as info:
+        cli.main([*command, "--budget", budget])
+    captured = capsys.readouterr()
+    assert info.value.code == cli.EXIT_USAGE == 3
+    assert captured.out == ""
+    assert "argument --budget:" in captured.err and "Traceback" not in captured.err
 
 
 def test_count_and_cross_check(capsys):

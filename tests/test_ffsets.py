@@ -1,10 +1,12 @@
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowcont import constructions, ffsets
 from flowcont.algebra import parse_group
 from flowcont.constructions import as_digon_union
 from flowcont.decide import EdgeMap, constant_map, ff_gcd, index_bijection, oracle_count_ff_maps
@@ -248,6 +250,17 @@ def test_exists_digon_fast_path():
     six = exists_ff_map(digon(9), digon(7), 6)
     assert six.status == "none"
     assert six.witness is None
+
+
+@pytest.mark.parametrize("g, h", [(disjoint_union([digon(9), digon(4)]), digon(7)), (k4(), digon(3))])
+@pytest.mark.parametrize("answer", [lambda g, h: exists_ff_map(g, h, 2), ff_set_of_graphs])
+def test_each_graph_is_classified_once(g, h, answer):
+    counted = mock.Mock(wraps=as_digon_union)
+    with mock.patch.object(ffsets, "as_digon_union", counted), mock.patch.object(
+        constructions, "as_digon_union", counted
+    ):
+        answer(g, h)
+    assert [call.args for call in counted.call_args_list] == [(g,), (h,)]
 
 
 def test_exists_edgeless_cases():

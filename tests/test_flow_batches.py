@@ -8,14 +8,17 @@ route must give the same sequences, order included.
 """
 
 import itertools
+import math
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcont import flows
 from flowcont.algebra import Group, parse_group
 from flowcont.decide import EdgeMap, oracle_count_ff_maps, oracle_refutation
 from flowcont.flows import (
+    BudgetExceededError,
     count_nowhere_zero_flows,
     enumerate_flows,
     filter_flows,
@@ -80,6 +83,27 @@ def multigraphs(draw, max_vertices=4, max_edges=4):
 groups = st.one_of(st.just(Group()), st.sampled_from(GROUPS).map(parse_group))
 # small batches exercise every way of cutting the space into batches
 batch_sizes = st.sampled_from([1, 5, 64, flows.BATCH])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=6), batch_sizes, st.integers(1, 20000))
+def test_grid_batches_are_the_product_in_order(radices, batch, budget):
+    expected = itertools.product(*map(range, radices))
+    with mock.patch.object(flows, "BATCH", batch):
+        if math.prod(radices) > budget:
+            with pytest.raises(BudgetExceededError):
+                next(flows._grid_batches(radices, budget))
+            return
+        batches = list(flows._grid_batches(radices, budget))
+    assert all(0 < len(digits) <= batch for digits in batches)
+    assert [tuple(row) for digits in batches for row in digits.tolist()] == list(expected)
+
+
+def test_grid_batches_past_int64_stay_exact():
+    radices = [3, 2**64 + 1]
+    first = next(flows._grid_batches(radices, budget=2**70))
+    assert first.tolist() == [[0, k] for k in range(flows.BATCH)]
+    assert all(type(x) is int for row in first for x in row)
 
 
 @settings(max_examples=150, deadline=None)

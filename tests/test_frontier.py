@@ -104,7 +104,7 @@ def status(histogram, witness):
 def test_blocked_pass_matches_the_reference(g, h, budget, block):
     # a few candidates a block makes most levels span several blocks
     delta = g.max_degree()
-    digons = ffsets._digon_families(g, h) is not None
+    digons = ffsets._digon_parts(g, h) is not None
     with mock.patch.object(ffsets, "BLOCK", block):
         for n in (None, 0, 1, 2, 3, 4, 6, 2 * delta, 2 * delta + 1, 10**20):
             big = n is not None and n > 2 * delta
