@@ -20,7 +20,7 @@ f = constant_map(digon(6), digon(6), 0)
 for text in ("Z6", "Z2xZ3", "Z4", "Z2xZ2", "Z"):
     m = parse_group(text)
     e = exponent(m)
-    label = "infinite" if e is None else e
+    label = "infinite" if e == 0 else e  # exponent 0: a free factor, like Z
     print(f"{text:7s} exponent {label!s:9s} decision {is_ff_group(f, m)}")
 print()
 

@@ -7,7 +7,8 @@ counts no larger than its length.  A group is a free rank plus a tuple of
 cyclic orders; an element is a plain tuple of ints, one per factor, with
 residues held in ``[0, order)``.  The trivial group is ``Group(0, ())``.  An
 FFSet is a down-set of positive integers under divisibility, the shape
-of every flow-continuity set.
+of every flow-continuity set.  0 stands for Z, the exponent of a group
+with a free factor; gcd(n, g) == n tests "n divides g" for every n >= 0.
 """
 
 import itertools
@@ -133,12 +134,10 @@ def parse_group(text: str) -> Group:
     return Group(free_rank, tuple(orders))
 
 
-def exponent(m: Group) -> int | None:
-    """Largest order of a group element: lcm of the cyclic orders, or
-    None (infinite) when there is a free factor."""
-    if m.free_rank > 0:
-        return None
-    return math.lcm(*m.orders)
+def exponent(m: Group) -> int:
+    """The n with k*x = 0 for every x in m exactly when n divides k: the
+    lcm of the cyclic orders, or 0 when there is a free factor."""
+    return 0 if m.free_rank else math.lcm(*m.orders)
 
 
 def divisors(n: int) -> tuple[int, ...]:

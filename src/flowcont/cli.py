@@ -8,7 +8,8 @@ realizing a prescribed divisor set), selftest (seeded cross-checks).
 Exit codes: 0 yes/pass, 1 no/fail, 2 unknown (budget ran out before a
 decision), 3 usage or input error, 4 internal error (a crash such as a
 stack overflow, or stdout closed before the answer was written; never an
-answer).  --json prints one JSON object on stdout; plain output
+answer).  --json prints one JSON object on stdout, whose status (yes, no,
+unknown, error, error) is read off the exit code; plain output
 otherwise.  ffset, count and search take --budget, a positive cap on the
 frontier entries of the map-space pass.  Every answer comes by one
 route; the definitional oracles re-check those routes in selftest only.
@@ -61,10 +62,13 @@ EXIT_INTERNAL = 4
 
 @dataclass(frozen=True)
 class CommandResult:
-    status: str
     payload: dict
     exit_code: int
     lines: tuple[str, ...]
+
+    @property
+    def status(self) -> str:
+        return ("yes", "no", "unknown", "error", "error")[self.exit_code]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,17 +138,16 @@ def cmd_check(args) -> CommandResult:
     target = parse_graph_argument(args.h)
     f = parse_map_argument(args.map, source, target)
     m = parse_group(args.group)
-    # only the exponent matters; an infinite one behaves like Z (modulus 0)
-    gcd_value, certificate = gcd_and_certificate(f, exponent(m) or 0)
+    # only the exponent matters; one with a free factor is 0, like Z
+    gcd_value, certificate = gcd_and_certificate(f, exponent(m))
     payload = {"group": str(m), "gcd": gcd_value, "ff": certificate is None}
     if certificate is None:
         return CommandResult(
-            "yes", payload, EXIT_YES,
-            (f"yes: flow-continuous over {m} (discrepancy gcd {gcd_value})",),
+            payload, EXIT_YES, (f"yes: flow-continuous over {m} (discrepancy gcd {gcd_value})",)
         )
     payload["certificate"] = asdict(certificate)
     return CommandResult(
-        "no", payload, EXIT_NO,
+        payload, EXIT_NO,
         (
             f"no: not flow-continuous over {m} (discrepancy gcd {gcd_value})",
             f"certificate: vertex {certificate.vertex}, circuit {certificate.circuit}, "
@@ -167,7 +170,7 @@ def cmd_ffset(args) -> CommandResult:
         line = "all n >= 1"
     else:
         line = " ".join(str(n) for n in ff_set.members()) or "empty: no map exists"
-    return CommandResult("yes", payload, EXIT_YES, (line,))
+    return CommandResult(payload, EXIT_YES, (line,))
 
 
 def cmd_count(args) -> CommandResult:
@@ -175,7 +178,7 @@ def cmd_count(args) -> CommandResult:
     target = parse_graph_argument(args.h)
     m = parse_group(args.group)
     count = count_ff_maps(source, target, m, budget=args.budget)
-    return CommandResult("yes", {"group": str(m), "count": count}, EXIT_YES, (f"{count}",))
+    return CommandResult({"group": str(m), "count": count}, EXIT_YES, (f"{count}",))
 
 
 def cmd_search(args) -> CommandResult:
@@ -195,13 +198,12 @@ def cmd_search(args) -> CommandResult:
             "nodes": outcome.nodes,
         }
         lines = (f"# witness map, flow-continuous for {label}",) + tuple(body.splitlines())
-        return CommandResult("yes", payload, EXIT_YES, lines)
+        return CommandResult(payload, EXIT_YES, lines)
     payload = {"modulus": label, "witness": None, "nodes": outcome.nodes}
     if outcome.status == "none":
-        return CommandResult("no", payload, EXIT_NO, ("none",))
+        return CommandResult(payload, EXIT_NO, ("none",))
     return CommandResult(
-        "unknown", payload, EXIT_UNKNOWN,
-        (f"unknown: budget exhausted after {outcome.nodes} nodes",),
+        payload, EXIT_UNKNOWN, (f"unknown: budget exhausted after {outcome.nodes} nodes",)
     )
 
 
@@ -223,20 +225,17 @@ def cmd_construct(args) -> CommandResult:
     with open(plan_path, "w", encoding="utf-8") as handle:
         json.dump(plan_record, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    payload = dict(plan_record)
-    payload["files"] = [g_path, h_path, plan_path]
-    status = "yes" if report.passed else "no"
-    lines = [f"wrote {g_path}, {h_path}, {plan_path}"]
-    lines.append(
+    payload = {**plan_record, "files": [g_path, h_path, plan_path]}
+    lines = (
+        f"wrote {g_path}, {h_path}, {plan_path}",
         f"verification: {'pass' if report.passed else 'FAIL'} "
-        f"(set {report.computed}, wanted {report.expected})"
+        f"(set {report.computed}, wanted {report.expected})",
     )
-    return CommandResult(status, payload, EXIT_YES if report.passed else EXIT_NO, tuple(lines))
+    return CommandResult(payload, EXIT_YES if report.passed else EXIT_NO, lines)
 
 
 def cmd_selftest(args) -> CommandResult:
     results = run_selftest(seed=args.seed, deep=args.deep)
-    all_passed = all(r.passed for r in results)
     lines = [f"seed {args.seed}"]
     for r in results:
         verdict = "ok" if r.passed else "FAIL"
@@ -245,22 +244,9 @@ def cmd_selftest(args) -> CommandResult:
         )
         for failure in r.failures[:5]:
             lines.append(f"  {failure}")
-    payload = {
-        "seed": args.seed,
-        "suites": [
-            {
-                "name": r.name,
-                "checks": r.checks,
-                "passed": r.passed,
-                "failures": list(r.failures),
-                "seconds": r.seconds,
-                "checks_per_s": r.checks_per_s,
-            }
-            for r in results
-        ],
-    }
-    status = "yes" if all_passed else "no"
-    return CommandResult(status, payload, EXIT_YES if all_passed else EXIT_NO, tuple(lines))
+    suites = [{**asdict(r), "passed": r.passed, "checks_per_s": r.checks_per_s} for r in results]
+    exit_code = EXIT_YES if all(r.passed for r in results) else EXIT_NO
+    return CommandResult({"seed": args.seed, "suites": suites}, exit_code, tuple(lines))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _failure(exc: Exception) -> CommandResult:
     if isinstance(exc, BudgetExceededError):
-        return CommandResult("unknown", {"message": str(exc)}, EXIT_UNKNOWN, (f"unknown: {exc}",))
+        return CommandResult({"message": str(exc)}, EXIT_UNKNOWN, (f"unknown: {exc}",))
     if isinstance(exc, (GraphFormatError, GroupSyntaxError, ValueError, OSError)):
-        return CommandResult("error", {"message": str(exc)}, EXIT_USAGE, (f"error: {exc}",))
+        return CommandResult({"message": str(exc)}, EXIT_USAGE, (f"error: {exc}",))
     # RecursionError and MemoryError included: exit 1 must stay a proven "no"
     message = f"internal error: {type(exc).__name__}: {exc}".splitlines()[0]
-    return CommandResult("error", {"message": message}, EXIT_INTERNAL, (message,))
+    return CommandResult({"message": message}, EXIT_INTERNAL, (message,))
 
 
 def _render(result: CommandResult, json_mode: bool) -> str:

@@ -11,9 +11,8 @@ finite set of positive integers, build a pair of digraphs whose FF set is
 exactly the divisor down-closure of it.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import FFSet, _antichain, cone_counts, decompose_in_cone, next_prime_above
 from .decide import EdgeMap, ff_gcd
@@ -75,11 +74,9 @@ def ff_set_digons(source: DigonFamily, target: DigonFamily) -> FFSet:
     reach = cone_counts(top, target.multiplicities) >= 0
     if reach[a_values].all():
         return FFSet.everything()
-    member = np.zeros(top + 1, dtype=bool)
-    for n in range(1, top + 1):
-        member[n] = all(reach[a % n : a + 1 : n].any() for a in a_values)
-    maximal = (n for n in range(1, top + 1) if member[n] and not member[2 * n :: n].any())
-    return FFSet(all_of_n=False, maximal_elements=frozenset(maximal))
+    return FFSet.from_gcds(
+        n for n in range(1, top + 1) if all(reach[a % n : a + 1 : n].any() for a in a_values)
+    )
 
 
 def digon_union_witness(g: MultiDigraph, h: MultiDigraph, n: int) -> EdgeMap | None:
@@ -91,6 +88,8 @@ def digon_union_witness(g: MultiDigraph, h: MultiDigraph, n: int) -> EdgeMap | N
     remainder term sends n source edges onto target edge 0.  Choices are
     lowest-index throughout, so the witness is deterministic.
     """
+    if n < 0:
+        raise ValueError(f"modulus must be nonnegative, got {n}")
     parts = as_digon_union(g), as_digon_union(h)
     if None in parts:
         raise ValueError("both graphs must be digon unions")
@@ -121,7 +120,7 @@ def _digon_witness(g, h, source_parts, target_parts, n) -> EdgeMap | None:
 
     witness = EdgeMap(g, h, tuple(assignment))
     achieved = ff_gcd(witness)
-    if achieved != 0 and (n == 0 or achieved % n != 0):
+    if math.gcd(n, achieved) != n:
         raise AssertionError(f"constructed map has gcd {achieved}, wanted multiple of {n}")
     return witness
 

@@ -5,7 +5,8 @@ digraph H.  It is n-flow-continuous (FF_n) when every Z_n-flow on H pulls
 back along f to a Z_n-flow on G, and FF_Z when that holds over the
 integers.  The whole family of these questions collapses to one integer:
 the gcd g of the discrepancy matrix D.  f is FF_n iff n divides g, and FF_Z
-iff g = 0.
+iff g = 0, so modulus 0 stands for Z; over a group M, f is flow-continuous
+iff exponent(M) divides g.
 
 Why this works: pulling back phi and applying Kirchhoff at a source vertex
 v evaluates the pushforward of the star tension at v against phi, and the
@@ -19,6 +20,7 @@ definition with no shortcuts and must never be folded into the gcd route.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,10 +162,12 @@ def gcd_and_certificate(f: EdgeMap, n: int) -> tuple[int, FailureCertificate | N
         raise ValueError(f"modulus must be nonnegative, got {n}")
     d = discrepancy(f)
     g = int(np.gcd.reduce(d, axis=None))
-    if (g % n if n else g) == 0:
+    if math.gcd(n, g) == n:
         return g, None
+    # an n past every |entry| fails where 0 does, and never meets int64;
     # row-major, so certificates are deterministic
-    v, c = divmod(int(np.flatnonzero(d % n if n else d)[0]), d.shape[1])
+    reduced = 0 if n > int(np.abs(d).max()) else n
+    v, c = divmod(int(np.flatnonzero(d % reduced if reduced else d)[0]), d.shape[1])
     return g, FailureCertificate(vertex=v, circuit=c, value=int(d[v, c]), modulus=n)
 
 
@@ -185,9 +189,9 @@ def is_ff_group(f: EdgeMap, m: Group) -> bool:
     """Is f flow-continuous over m?  Only the exponent of m matters.
 
     A finite group with exponent e behaves exactly like Z_e, and any group
-    with a free part behaves like Z.
+    with a free part, whose exponent is 0, behaves like Z.
     """
-    return is_ff_n(f, exponent(m) or 0)[0]
+    return is_ff_n(f, exponent(m))[0]
 
 
 def refuting_flows(f: EdgeMap, m: Group, budget: int = DEFAULT_FLOW_BUDGET):

@@ -18,14 +18,13 @@ can no longer end FF_n.
 Every budget here counts frontier entries (states times state columns,
 summed over the levels), the real work and memory of the pass, never the
 |E(H)| ** |E(G)| maps of the space.  The pass holds its states as int16
-and builds each level in fixed blocks, so the refused petersen ->
-petersen scan gives up after about 10 s at 279 MB maximum resident
-memory, where building each level at once took 1,151 MB (2-core host,
-Python 3.11, numpy 2.4).  Pairs of digon unions skip the pass and read
-no budget: one cone table answers the set and the search in memory
-linear in the largest source digon.
+and builds each level in fixed blocks, so its memory follows the states
+it keeps rather than the candidates it builds.  Pairs of digon unions
+skip the pass and read no budget: one cone table answers the set and the
+search in memory linear in the largest source digon.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,14 +225,12 @@ def count_ff_maps(
     """Number of edge maps G -> H that are flow-continuous over m.
 
     Adds up the gcd histogram over the gcds the exponent of m divides
-    (gcd zero for infinite m).  oracle_count_ff_maps replays the
-    definition instead.
+    (only gcd zero for an exponent of 0).  oracle_count_ff_maps replays
+    the definition instead.
     """
     n = exponent(m)
     by_gcd = gcd_histogram(g, h, budget)
-    if n is None:
-        return by_gcd.get(0, 0)
-    return sum(count for value, count in by_gcd.items() if value % n == 0)
+    return sum(count for value, count in by_gcd.items() if math.gcd(n, value) == n)
 
 
 @dataclass(frozen=True)

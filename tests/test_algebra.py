@@ -78,10 +78,11 @@ def test_direct_product():
 def test_exponent_values():
     assert exponent(parse_group("Z2xZ3")) == 6
     assert exponent(parse_group("Z2xZ4")) == 4
-    assert exponent(parse_group("Z")) is None
+    # a free factor gives 0: k*x = 0 for every x exactly when 0 divides k
+    assert exponent(parse_group("Z")) == 0
     assert exponent(TRIVIAL) == 1
     assert exponent(parse_group("Z1")) == 1
-    assert exponent(parse_group("ZxZ2")) is None
+    assert exponent(parse_group("ZxZ2")) == 0
 
 
 def test_divisors():

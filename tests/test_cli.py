@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowcont import cli
 from flowcont.decide import ff_gcd, parse_edge_map
@@ -435,3 +439,78 @@ def test_any_handler_crash_exits_4(capsys, monkeypatch, error):
     code, record, _ = run_json(capsys, *argv)
     assert code == 4
     assert record == {"status": "error", "message": f"internal error: {error.__name__}: two"}
+
+
+HUGE_CHECK = ("check", "--g", "k4", "--h", "digon:3", "--map", COLORING, "--group", f"Z{10**20 - 1}")
+
+
+def test_check_past_int64_exponent_is_a_proven_no(capsys):
+    # no entry reaches 10^20 - 1, so it fails where Z does
+    code, out, err = run_cli(capsys, *HUGE_CHECK)
+    assert code == 1 and err == ""
+    assert out.splitlines()[1] == (
+        "certificate: vertex 1, circuit 0, value 2, modulus 99999999999999999999"
+    )
+    code, record, _ = run_json(capsys, *HUGE_CHECK)
+    assert code == 1 and record["status"] == "no" and record["gcd"] == 2
+    assert record["certificate"] == {
+        "vertex": 1, "circuit": 0, "value": 2, "modulus": 10**20 - 1
+    }
+
+
+def run_quiet(*argv):
+    """cli.main with stdout and stderr captured, for hypothesis bodies."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+BUILTIN_GRAPHS = ["k4", "petersen", "loop", "digon:1", "digon:3", "dicycle:2", "dicycle:5"]
+
+
+@st.composite
+def check_arguments(draw):
+    """A builtin pair with edges on both sides, a valid map given as an
+    index list, and a group text with its exponent worked out here."""
+    source = draw(st.sampled_from(BUILTIN_GRAPHS))
+    target = draw(st.sampled_from(BUILTIN_GRAPHS))
+    sizes = [cli.parse_graph_argument(name).num_edges for name in (source, target)]
+    indices = st.integers(0, sizes[1] - 1)
+    assignment = draw(st.lists(indices, min_size=sizes[0], max_size=sizes[0]))
+    free = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    order = st.one_of(st.integers(1, 12), st.integers(2**62, 10**30))
+    orders = draw(st.lists(order, min_size=0 if free else 1, max_size=3))
+    group = "x".join(["Z"] * free + [f"Z{n}" for n in orders])
+    exponent = 0 if free else math.lcm(*orders)
+    argv = ("--json", "check", "--g", source, "--h", target, "--map", ",".join(map(str, assignment)))
+    return argv + ("--group", group), exponent
+
+
+@settings(max_examples=120, deadline=None)
+@given(check_arguments())
+def test_check_answers_every_valid_input(arguments):
+    argv, exponent = arguments
+    code, out, err = run_quiet(*argv)
+    assert code in (0, 1) and err == ""
+    assert "Traceback" not in out
+    record = json.loads(out)
+    assert record["status"] == ("yes", "no")[code]
+    assert record["ff"] == (math.gcd(exponent, record["gcd"]) == exponent) == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, status",
+    [
+        (("check", "--g", "k4", "--h", "digon:3", "--map", COLORING, "--group", "Z2"), 0, "yes"),
+        (("check", "--g", "k4", "--h", "digon:3", "--map", COLORING, "--group", "Z3"), 1, "no"),
+        (("ffset", "--g", "k4", "--h", "digon:3", "--budget", "10"), 2, "unknown"),
+        (("check", "--g", "k4", "--h", "digon:3", "--map", COLORING, "--group", "Q"), 3, "error"),
+        (SEARCH, 4, "error"),
+    ],
+)
+def test_each_exit_code_carries_its_json_status(capsys, monkeypatch, argv, exit_code, status):
+    # exit 4 needs a crash, which no valid input gives
+    monkeypatch.setattr(cli, "cmd_search", crash_search)
+    code, record, _ = run_json(capsys, *argv)
+    assert code == exit_code and record["status"] == status

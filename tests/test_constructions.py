@@ -116,6 +116,12 @@ def test_digon_union_witness_none_when_cone_fails():
     assert digon_union_witness(digon(9), digon(7), 6) is None
 
 
+def test_digon_union_witness_rejects_negative_modulus():
+    # as exists_ff_map does; no modulus below 0 divides anything
+    with pytest.raises(ValueError, match="nonnegative"):
+        digon_union_witness(digon(6), digon(3), -1)
+
+
 def test_build_witness_plans():
     g, h, plan = build_witness({1})
     assert plan.prime == 5 and plan.companion == 7

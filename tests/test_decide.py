@@ -14,6 +14,7 @@ from flowcont.decide import (
     discrepancy,
     ff_gcd,
     format_edge_map,
+    gcd_and_certificate,
     index_bijection,
     is_ff_group,
     is_ff_n,
@@ -325,3 +326,33 @@ def test_large_ff_z_maps_have_gcd_zero():
     assert f.source.num_edges == 10_000
     assert ff_gcd(f) == 0
     assert is_ff_n(f, 0) == (True, None)
+
+
+HUGE = 10**20
+
+
+def test_modulus_past_int64_gets_a_certificate():
+    # the entries are at most 3, so 10^20 divides none but 0; it fails
+    # where n = 0 fails, and the int64 matrix never meets it
+    f = k4_coloring()
+    expected = FailureCertificate(vertex=1, circuit=0, value=2, modulus=HUGE)
+    assert gcd_and_certificate(f, HUGE) == (2, expected)
+    assert is_ff_n(f, HUGE) == (False, expected)
+    assert not is_ff_group(f, parse_group(f"Z{HUGE}"))
+    assert not is_ff_group(f, parse_group(f"Z2xZ{HUGE}"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_edge_maps(), st.one_of(st.integers(1, 40), st.integers(2**63 - 2, 2**200)))
+def test_a_modulus_past_the_max_degree_answers_as_zero(f, above):
+    # |D[v,c]| <= deg(v), so an n past the maximum degree divides only 0
+    n = f.source.max_degree() + above
+    g, certificate = gcd_and_certificate(f, n)
+    g0, certificate0 = gcd_and_certificate(f, 0)
+    assert g == g0
+    if certificate0 is None:
+        assert certificate is None
+    else:
+        assert certificate == FailureCertificate(
+            certificate0.vertex, certificate0.circuit, certificate0.value, n
+        )
