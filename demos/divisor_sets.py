@@ -6,14 +6,7 @@ of such divisor sets, still closed under taking divisors.  Both are
 printed as membership tables.
 """
 
-from flowcont import (
-    constant_map,
-    digon,
-    ff_gcd,
-    ff_set_of_graphs,
-    ff_set_of_map,
-    loop,
-)
+from flowcont import FFSet, constant_map, digon, ff_gcd, ff_set_of_graphs, loop
 
 
 def table(ff_set, limit=12):
@@ -25,8 +18,9 @@ print("moduli 1..12:", " ".join(f"{n:d}" for n in range(1, 13)))
 print()
 
 f = constant_map(digon(6), loop(), 0)
-print(f"constant map, 6-edge digon onto a loop (gcd {ff_gcd(f)}):")
-print("  ", table(ff_set_of_map(f)))
+gcd = ff_gcd(f)
+print(f"constant map, 6-edge digon onto a loop (gcd {gcd}):")
+print("  ", table(FFSet.from_gcds([gcd])))
 print()
 
 print("all 7^9 = 40353607 maps, 9-edge digon -> 7-edge digon:")

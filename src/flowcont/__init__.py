@@ -12,8 +12,6 @@ from .algebra import (
     FFSet,
     Group,
     GroupSyntaxError,
-    INTEGERS,
-    TRIVIAL,
     cone_member,
     decompose_in_cone,
     direct_product,
@@ -42,10 +40,8 @@ from .decide import (
     index_bijection,
     is_ff_group,
     is_ff_n,
-    is_ff_z,
     oracle_count_ff_maps,
     oracle_is_ff_group,
-    oracle_refutation,
     parse_edge_map,
     refuting_flows,
 )
@@ -55,7 +51,6 @@ from .ffsets import (
     count_ff_maps,
     exists_ff_map,
     ff_set_of_graphs,
-    ff_set_of_map,
     gcd_histogram,
     subcubic_equivalence_check,
 )
@@ -90,73 +85,3 @@ from .selftest import SuiteResult, run_selftest
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_NAMES",
-    "BudgetExceededError",
-    "DEFAULT_FLOW_BUDGET",
-    "DEFAULT_MAP_BUDGET",
-    "DigonFamily",
-    "EdgeMap",
-    "EquivalenceReport",
-    "FFSet",
-    "FailureCertificate",
-    "GraphFormatError",
-    "Group",
-    "GroupSyntaxError",
-    "INTEGERS",
-    "MultiDigraph",
-    "SearchOutcome",
-    "SpanningStructure",
-    "SuiteResult",
-    "TRIVIAL",
-    "WitnessPlan",
-    "WitnessReport",
-    "as_digon_union",
-    "build_witness",
-    "builtin",
-    "circuit_matrix",
-    "cone_member",
-    "constant_map",
-    "count_ff_maps",
-    "count_nowhere_zero_flows",
-    "decompose_in_cone",
-    "dicycle",
-    "digon",
-    "digon_union_witness",
-    "direct_product",
-    "discrepancy",
-    "disjoint_union",
-    "divisors",
-    "enumerate_flows",
-    "exists_ff_map",
-    "exponent",
-    "ff_gcd",
-    "ff_set_digons",
-    "ff_set_of_graphs",
-    "ff_set_of_map",
-    "filter_flows",
-    "format_digraph",
-    "format_edge_map",
-    "gcd_histogram",
-    "incidence_matrix",
-    "index_bijection",
-    "is_ff_group",
-    "is_ff_n",
-    "is_ff_z",
-    "is_flow",
-    "k4",
-    "loop",
-    "next_prime_above",
-    "oracle_count_ff_maps",
-    "oracle_is_ff_group",
-    "oracle_refutation",
-    "parse_digraph",
-    "parse_edge_map",
-    "parse_group",
-    "petersen",
-    "refuting_flows",
-    "run_selftest",
-    "spanning_structure",
-    "subcubic_equivalence_check",
-    "verify_witness",
-]

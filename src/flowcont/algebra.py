@@ -52,12 +52,6 @@ class Group:
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
-    def order(self) -> int | None:
-        """Number of elements, or None when the group is infinite."""
-        if not self.is_finite:
-            return None
-        return math.prod(self.orders)
-
     def zero(self) -> GroupElement:
         return (0,) * self.num_factors
 
@@ -98,10 +92,6 @@ class Group:
         return "x".join(parts) if parts else "Z1"
 
 
-INTEGERS = Group(free_rank=1)
-TRIVIAL = Group()
-
-
 def direct_product(a: Group, b: Group) -> Group:
     return Group(a.free_rank + b.free_rank, a.orders + b.orders)
 
@@ -125,9 +115,12 @@ def parse_group(text: str) -> Group:
             digits = part[1:]
         else:
             digits = part
-        if not digits.isdigit():
+        if not digits.isdecimal():
             raise GroupSyntaxError(f"bad group factor {part!r} in {text!r}")
-        n = int(digits)
+        try:
+            n = int(digits)
+        except ValueError as exc:  # past the interpreter's cap on the digits of an int
+            raise GroupSyntaxError(str(exc)) from None
         if n == 0:
             raise GroupSyntaxError(f"cyclic order 0 in {text!r}")
         orders.append(n)

@@ -4,6 +4,8 @@ Subcommands: check (is one map flow-continuous over a group), ffset (the
 divisor set of a map or a graph pair), count (how many maps are
 flow-continuous), search (find a witness map), construct (build a pair
 realizing a prescribed divisor set), selftest (seeded cross-checks).
+check, ffset, count and search take the pair as --g and --h, and check
+and count take the group as --group.
 
 Exit codes: 0 yes/pass, 1 no/fail, 2 unknown (budget ran out before a
 decision), 3 usage or input error, 4 internal error (a crash such as a
@@ -116,7 +118,7 @@ def parse_map_argument(text: str, source: MultiDigraph, target: MultiDigraph) ->
             raise ValueError("constant map needs a target edge index, e.g. constant:0")
         return constant_map(source, target, int(parameter))
     tokens = [token.strip() for token in text.split(",") if token.strip()]
-    if tokens and all(token.lstrip("-").isdigit() for token in tokens):
+    if tokens and all(token.lstrip("-").isdecimal() for token in tokens):
         return EdgeMap(source, target, tuple(int(token) for token in tokens))
     if os.path.exists(text):
         with open(text, encoding="utf-8") as handle:
@@ -255,29 +257,21 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     check = commands.add_parser("check", help="decide flow-continuity of one map")
-    check.add_argument("--g", required=True, help="source graph (file or builtin)")
-    check.add_argument("--h", required=True, help="target graph (file or builtin)")
-    check.add_argument("--map", required=True, help="edge map (file, identity, constant:j, or list)")
-    check.add_argument("--group", required=True, help="group, e.g. Z, Z6, Z2xZ3")
     check.set_defaults(handler=cmd_check)
-
     ffset = commands.add_parser("ffset", help="divisor set of a map or a graph pair")
-    ffset.add_argument("--g", required=True)
-    ffset.add_argument("--h", required=True)
-    ffset.add_argument("--map", help="restrict to one map instead of all maps")
     ffset.set_defaults(handler=cmd_ffset)
-
     count = commands.add_parser("count", help="count flow-continuous maps")
-    count.add_argument("--g", required=True)
-    count.add_argument("--h", required=True)
-    count.add_argument("--group", required=True)
     count.set_defaults(handler=cmd_count)
-
     search = commands.add_parser("search", help="find a flow-continuous map")
-    search.add_argument("--g", required=True)
-    search.add_argument("--h", required=True)
-    search.add_argument("--n", required=True, help="modulus, or Z for the integers")
     search.set_defaults(handler=cmd_search)
+    for paired in (check, ffset, count, search):
+        paired.add_argument("--g", required=True, help="source graph (file or builtin)")
+        paired.add_argument("--h", required=True, help="target graph (file or builtin)")
+    check.add_argument("--map", required=True, help="edge map (file, identity, constant:j, or list)")
+    ffset.add_argument("--map", help="restrict to one map instead of all maps")
+    for grouped in (check, count):
+        grouped.add_argument("--group", required=True, help="group, e.g. Z, Z6, Z2xZ3")
+    search.add_argument("--n", required=True, help="modulus, or Z for the integers")
     for budgeted in (ffset, count, search):
         budgeted.add_argument(
             "--budget", type=positive_int, default=DEFAULT_MAP_BUDGET, help="frontier entry budget"

@@ -4,9 +4,9 @@ An edge map f sends each edge of a source digraph G to an edge of a target
 digraph H.  It is n-flow-continuous (FF_n) when every Z_n-flow on H pulls
 back along f to a Z_n-flow on G, and FF_Z when that holds over the
 integers.  The whole family of these questions collapses to one integer:
-the gcd g of the discrepancy matrix D.  f is FF_n iff n divides g, and FF_Z
-iff g = 0, so modulus 0 stands for Z; over a group M, f is flow-continuous
-iff exponent(M) divides g.
+the gcd g = ff_gcd(f) of the discrepancy matrix D.  f is FF_n iff n
+divides g, and FF_Z iff g = 0, so modulus 0 stands for Z; over a group M,
+f is flow-continuous iff exponent(M) divides g.
 
 Why this works: pulling back phi and applying Kirchhoff at a source vertex
 v evaluates the pushforward of the star tension at v against phi, and the
@@ -15,8 +15,10 @@ circuits.  So FF holds iff every (star tension, circuit) pairing vanishes
 modulo n.  D = S P C (source incidence, pushforward of f, target circuits)
 is never multiplied out: row i of P C is row f(i) of C, so D is a gather
 of C's rows added at each source edge's tail and subtracted at its head,
-O(E_G * cyc_H) in all.  The brute-force oracle below re-checks the
-definition with no shortcuts and must never be folded into the gcd route.
+O(E_G * cyc_H) in all.  The brute-force route below, refuting_flows,
+re-checks the definition with no shortcuts and must never be folded into
+the gcd route: next(refuting_flows(f, m), None) is the first flow on H
+whose pullback is no flow, and the two oracles build on it.
 """
 
 import itertools
@@ -30,7 +32,6 @@ from .flows import (
     DEFAULT_FLOW_BUDGET,
     DEFAULT_MAP_BUDGET,
     BudgetExceededError,
-    GroupVector,
     _flow_batches,
     _kirchhoff_fails,
     _vectors,
@@ -57,9 +58,6 @@ class EdgeMap:
         for i, j in enumerate(self.assignment):
             if not (0 <= j < self.target.num_edges):
                 raise ValueError(f"edge {i} maps to {j}, out of target range")
-
-    def __call__(self, i: int) -> int:
-        return self.assignment[i]
 
 
 def index_bijection(source: MultiDigraph, target: MultiDigraph) -> EdgeMap:
@@ -180,11 +178,6 @@ def is_ff_n(f: EdgeMap, n: int) -> tuple[bool, FailureCertificate | None]:
     return certificate is None, certificate
 
 
-def is_ff_z(f: EdgeMap) -> bool:
-    """Is f flow-continuous over the integers (hence over every group)?"""
-    return ff_gcd(f) == 0
-
-
 def is_ff_group(f: EdgeMap, m: Group) -> bool:
     """Is f flow-continuous over m?  Only the exponent of m matters.
 
@@ -207,34 +200,26 @@ def refuting_flows(f: EdgeMap, m: Group, budget: int = DEFAULT_FLOW_BUDGET):
         yield from _vectors(batch[_kirchhoff_fails(incidence, batch[:, assignment], m)])
 
 
-def oracle_refutation(
-    f: EdgeMap, m: Group, budget: int = DEFAULT_FLOW_BUDGET
-) -> GroupVector | None:
-    """First refuting flow, or None if every flow pulls back to a flow."""
-    return next(refuting_flows(f, m, budget), None)
-
-
-def oracle_is_ff_group(f: EdgeMap, m: Group, budget: int = DEFAULT_FLOW_BUDGET) -> bool:
-    """Definitional check of flow-continuity by exhausting all flows on m.
+def oracle_is_ff_group(f: EdgeMap, m: Group) -> bool:
+    """Definitional check of flow-continuity by exhausting all flows on m,
+    at most DEFAULT_FLOW_BUDGET of them.
 
     Independent of the discrepancy machinery; used to validate it.
     """
-    return oracle_refutation(f, m, budget) is None
+    return next(refuting_flows(f, m), None) is None
 
 
-def oracle_count_ff_maps(
-    g: MultiDigraph, h: MultiDigraph, m: Group, budget: int = DEFAULT_MAP_BUDGET
-) -> int:
+def oracle_count_ff_maps(g: MultiDigraph, h: MultiDigraph, m: Group) -> int:
     """Number of edge maps G -> H flow-continuous over m, by definition.
 
-    Checks every flow on H against every map; the budget caps those flow
-    checks.  Holds H's flows, at most the budget of them, for the whole
+    Checks every flow on H against every map; DEFAULT_MAP_BUDGET caps
+    those flow checks.  Holds H's flows, at most that many, for the whole
     scan.  Exists to validate count_ff_maps, not to be fast.
     """
-    flows = list(_flow_batches(h, m, budget))
+    flows = list(_flow_batches(h, m, DEFAULT_MAP_BUDGET))
     checks = h.num_edges**g.num_edges * sum(map(len, flows))
-    if checks > budget:
-        raise BudgetExceededError(checks, budget, what="flow checks")
+    if checks > DEFAULT_MAP_BUDGET:
+        raise BudgetExceededError(checks, DEFAULT_MAP_BUDGET, what="flow checks")
     incidence = incidence_matrix(g)
     count = 0
     for assignment in itertools.product(range(h.num_edges), repeat=g.num_edges):

@@ -1,6 +1,7 @@
 """Divisor sets of flow-continuity: which n admit an FF_n map.
 
-For one map f the set {n : f is FF_n} is the divisors of a single gcd.
+For one map f the set {n : f is FF_n} is the divisors of a single gcd,
+FFSet.from_gcds([ff_gcd(f)]).
 For a pair of digraphs, FF(G,H) is the union of those divisor sets over
 every edge map from G to H, which makes it a down-set under divisibility:
 either all of N (some map is FF_Z) or finite, and in the finite case it
@@ -31,14 +32,9 @@ import numpy as np
 
 from .algebra import FFSet, Group, exponent
 from .constructions import DigonFamily, _digon_witness, as_digon_union, ff_set_digons
-from .decide import EdgeMap, ff_gcd
+from .decide import EdgeMap
 from .flows import DEFAULT_MAP_BUDGET, BudgetExceededError, circuit_matrix
 from .graphs import MultiDigraph
-
-
-def ff_set_of_map(f: EdgeMap) -> FFSet:
-    """{n : f is FF_n}: all of N when ff_gcd is 0, else its divisors."""
-    return FFSet.from_gcds([ff_gcd(f)])
 
 
 # candidates built at a time: a level with more is expanded in blocks of
@@ -303,16 +299,15 @@ def subcubic_equivalence_check(
     g: MultiDigraph,
     h: MultiDigraph,
     n_range,
-    budget: int = DEFAULT_MAP_BUDGET,
 ) -> EquivalenceReport:
     """Verify FF_n <=> FF_Z over all maps G -> H for each n in n_range.
 
     The equivalence holds whenever every source degree is below n, which
     is enforced as a precondition: |D[v,c]| <= deg(v), so a nonzero gcd
     never reaches n.  A map would violate it at n with a nonzero gcd that
-    n divides; the count of such maps is re-derived from the gcd histogram
-    all the same, which tests the frontier pass against the bound
-    (expected: zero).
+    n divides; the count of such maps is re-derived from the gcd histogram,
+    under DEFAULT_MAP_BUDGET, all the same, which tests the frontier pass
+    against the bound (expected: zero).
     """
     moduli = tuple(sorted(set(int(n) for n in n_range)))
     if not moduli:
@@ -323,7 +318,7 @@ def subcubic_equivalence_check(
         raise ValueError(
             f"max degree {g.max_degree()} not below smallest modulus {moduli[0]}"
         )
-    by_gcd = gcd_histogram(g, h, budget)
+    by_gcd = gcd_histogram(g, h)
     violation_count = sum(
         count
         for n in moduli

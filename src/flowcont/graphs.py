@@ -56,17 +56,18 @@ class MultiDigraph:
 
 @dataclass(frozen=True)
 class SpanningStructure:
-    """Deterministic spanning forest plus one circuit per non-forest edge.
+    """The fundamental circuits of a deterministic spanning forest, one per
+    non-forest edge.
 
     ``circuits[j]`` lists the ``(edge, sign)`` steps of circuit j: its
     non-forest edge at +1, then the edges of the forest path from that
     edge's head back to its tail, each at +1/-1 according to traversal
     direction.  A loop is its own circuit of length 1.  Circuits are
-    listed by increasing non-forest edge index, so the number of circuits
-    is the cyclomatic number ``|E| - |V| + components``.
+    listed by increasing non-forest edge index, so the first steps name
+    the non-forest edges and the number of circuits is the cyclomatic
+    number ``|E| - |V| + components``.
     """
 
-    forest_edges: frozenset[int]
     circuits: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
@@ -194,7 +195,6 @@ def spanning_structure(g: MultiDigraph) -> SpanningStructure:
             v = root[v]
         return v
 
-    forest: list[int] = []
     non_forest: list[int] = []
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
     for i, (tail, head) in enumerate(g.edges):
@@ -203,7 +203,6 @@ def spanning_structure(g: MultiDigraph) -> SpanningStructure:
             non_forest.append(i)
         else:
             root[a] = b
-            forest.append(i)
             adj[tail].append((head, i))
             adj[head].append((tail, i))
 
@@ -231,5 +230,5 @@ def spanning_structure(g: MultiDigraph) -> SpanningStructure:
                 e, w = parent_edge[w], parent[w]
                 steps.append((e, 1 if g.edges[e][0] == w else -1))
         circuits.append(tuple(steps))
-    return SpanningStructure(frozenset(forest), tuple(circuits))
+    return SpanningStructure(tuple(circuits))
 

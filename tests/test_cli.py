@@ -470,19 +470,26 @@ BUILTIN_GRAPHS = ["k4", "petersen", "loop", "digon:1", "digon:3", "dicycle:2", "
 
 
 @st.composite
+def group_arguments(draw):
+    """A group text with cyclic orders up to 10^30, and its exponent
+    worked out here."""
+    free = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    order = st.one_of(st.integers(1, 12), st.integers(2**62, 10**30))
+    orders = draw(st.lists(order, min_size=0 if free else 1, max_size=3))
+    group = "x".join(["Z"] * free + [f"Z{n}" for n in orders])
+    return group, 0 if free else math.lcm(*orders)
+
+
+@st.composite
 def check_arguments(draw):
     """A builtin pair with edges on both sides, a valid map given as an
-    index list, and a group text with its exponent worked out here."""
+    index list, and a group."""
     source = draw(st.sampled_from(BUILTIN_GRAPHS))
     target = draw(st.sampled_from(BUILTIN_GRAPHS))
     sizes = [cli.parse_graph_argument(name).num_edges for name in (source, target)]
     indices = st.integers(0, sizes[1] - 1)
     assignment = draw(st.lists(indices, min_size=sizes[0], max_size=sizes[0]))
-    free = draw(st.sampled_from([0, 0, 0, 1, 2]))
-    order = st.one_of(st.integers(1, 12), st.integers(2**62, 10**30))
-    orders = draw(st.lists(order, min_size=0 if free else 1, max_size=3))
-    group = "x".join(["Z"] * free + [f"Z{n}" for n in orders])
-    exponent = 0 if free else math.lcm(*orders)
+    group, exponent = draw(group_arguments())
     argv = ("--json", "check", "--g", source, "--h", target, "--map", ",".join(map(str, assignment)))
     return argv + ("--group", group), exponent
 
@@ -497,6 +504,40 @@ def test_check_answers_every_valid_input(arguments):
     record = json.loads(out)
     assert record["status"] == ("yes", "no")[code]
     assert record["ff"] == (math.gcd(exponent, record["gcd"]) == exponent) == (code == 0)
+
+
+SMALL_SOURCES = [name for name in BUILTIN_GRAPHS if cli.parse_graph_argument(name).num_edges <= 8]
+
+
+@st.composite
+def scan_arguments(draw):
+    """ffset, count or search on a builtin pair with at most 8 source
+    edges, under a budget from 1 to 10^4."""
+    command = draw(st.sampled_from(["ffset", "count", "search"]))
+    source = draw(st.sampled_from(SMALL_SOURCES))
+    target = draw(st.sampled_from(BUILTIN_GRAPHS))
+    budget = draw(st.integers(1, 10**4))
+    argv = ("--json", command, "--g", source, "--h", target, "--budget", str(budget))
+    if command == "count":
+        argv += ("--group", draw(group_arguments())[0])
+    if command == "search":
+        moduli = st.one_of(st.integers(0, 12), st.integers(2**62, 10**30)).map(str)
+        argv += ("--n", draw(st.one_of(st.just("Z"), moduli)))
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(scan_arguments())
+def test_scans_answer_or_run_out_on_every_valid_input(argv):
+    code, out, err = run_quiet(*argv)
+    assert code in (0, 1, 2) and err == ""
+    assert "Traceback" not in out
+    assert json.loads(out)["status"] == ("yes", "no", "unknown")[code]
+
+
+def test_map_list_with_non_ascii_digits_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "check", "--g", "k4", "--h", "digon:3", "--map", "¹,0", "--group", "Z2")
+    assert code == 3 and "neither a named form, an index list, nor a file" in err
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,18 @@ def test_parse_rejects_malformed(bad):
         parse_digraph(bad)
 
 
+TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "٣", "²", "1.5", "x", "#", "9" * 20])
+TOKEN_LINES = st.lists(st.lists(TOKENS, max_size=3).map(" ".join), max_size=6).map("\n".join)
+
+
+@given(st.one_of(st.text(), TOKEN_LINES))
+def test_parse_digraph_returns_a_graph_or_a_format_error(text):
+    try:
+        assert isinstance(parse_digraph(text), MultiDigraph)
+    except GraphFormatError:
+        pass
+
+
 def test_digon_shape():
     g = digon(9)
     assert g.vertex_count == 2
@@ -139,7 +151,7 @@ def test_spanning_structure_dicycle():
 
 def test_spanning_structure_digon():
     s = spanning_structure(digon(4))
-    assert s.forest_edges == frozenset({0})
+    assert [steps[0][0] for steps in s.circuits] == [1, 2, 3]  # edge 0 is the forest
     assert len(s.circuits) == 3
     for i, circuit in enumerate(circuit_matrix(digon(4)).T.tolist(), start=1):
         expected = [0, 0, 0, 0]
@@ -150,7 +162,6 @@ def test_spanning_structure_digon():
 def test_spanning_structure_loop():
     s = spanning_structure(loop())
     assert s.circuits == (((0, 1),),)
-    assert s.forest_edges == frozenset()
 
 
 def test_spanning_structure_deterministic():
@@ -196,8 +207,8 @@ def test_random_graph_circuit_count_and_orthogonality(data):
     )
     g = MultiDigraph(vertex_count, tuple(edges))
     s = spanning_structure(g)
-    assert len(s.forest_edges) + len(s.circuits) == g.num_edges
-    non_forest = [i for i in range(g.num_edges) if i not in s.forest_edges]
+    non_forest = [steps[0][0] for steps in s.circuits]
+    assert non_forest == sorted(set(non_forest))
     circuits = circuit_matrix(g).T.tolist()
     assert len(circuits) == len(s.circuits)
     # one circuit per non-forest edge, in increasing edge order
