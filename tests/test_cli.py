@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flowcont import cli
 from flowcont.decide import ff_gcd, parse_edge_map
@@ -555,3 +555,84 @@ def test_each_exit_code_carries_its_json_status(capsys, monkeypatch, argv, exit_
     monkeypatch.setattr(cli, "cmd_search", crash_search)
     code, record, _ = run_json(capsys, *argv)
     assert code == exit_code and record["status"] == status
+
+
+JUNK = ["x", "1.5", "0x1", "-", "one", "1e2", "∞"]
+
+
+@st.composite
+def graph_files(draw, flaw=None):
+    """Graph-file text with 0-6 vertices and 0-8 edges, with loops,
+    parallel edges, isolated vertices, blank lines and comments, and its
+    edge count; or, given a flaw ("header", "count" or "token"), text
+    broken by a bad header, a wrong edge count or a non-numeric token."""
+    vertices = draw(st.integers(0, 6))
+    ends = st.integers(0, max(vertices - 1, 0))
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=8 if vertices else 0))
+    rows = [[str(vertices), str(len(edges))]] + [[str(t), str(h)] for t, h in edges]
+    if flaw == "header":
+        rows[0] = draw(st.sampled_from([rows[0][:1], rows[0] + ["0"], ["V", "E"]]))
+    elif flaw == "count":
+        rows[0][1] = str(len(edges) + draw(st.sampled_from([-2, -1, 1, 2])))
+    elif flaw == "token":
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 1))] = draw(st.sampled_from(JUNK))
+    comments = st.sampled_from(["", "", "  # a comment", "#"])
+    lines = [" ".join(row) + draw(comments) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# note", "   "])))
+    return "\n".join(lines) + "\n", len(edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_graph_files_answer_or_are_rejected(tmp_path_factory, data):
+    folder = tmp_path_factory.mktemp("graphs")
+    flaw = data.draw(st.sampled_from([None, None, "header", "count", "token"]))
+    flawed = data.draw(st.sampled_from(["G", "H"]))
+    sizes = []
+    for name in ("G", "H"):
+        text, edge_count = data.draw(graph_files(flaw if name == flawed else None))
+        (folder / f"{name}.dg").write_text(text, encoding="utf-8")
+        sizes.append(edge_count)
+    command = data.draw(st.sampled_from(["check", "ffset", "count", "search"]))
+    argv = ["--json", command, "--g", str(folder / "G.dg"), "--h", str(folder / "H.dg")]
+    if command == "check":
+        # a valid map, written as a map file so an edgeless source has one too
+        assume(sizes[1] or not sizes[0])
+        targets = st.integers(0, max(sizes[1] - 1, 0))
+        assignment = data.draw(st.lists(targets, min_size=sizes[0], max_size=sizes[0]))
+        (folder / "f.map").write_text("".join(f"{j}\n" for j in assignment), encoding="utf-8")
+        argv += ["--map", str(folder / "f.map")]
+    else:
+        argv += ["--budget", str(data.draw(st.integers(1, 10**4)))]
+    if command in ("check", "count"):
+        argv += ["--group", data.draw(group_arguments())[0]]
+    if command == "search":
+        argv += ["--n", data.draw(st.one_of(st.just("Z"), st.integers(0, 12).map(str)))]
+    code, out, err = run_quiet(*argv)
+    assert err == "" and "Traceback" not in out
+    assert code == 3 if flaw else code in (0, 1, 2)
+    assert json.loads(out)["status"] == ("yes", "no", "unknown", "error")[code]
+
+
+TARGET_TOKENS = st.one_of(
+    st.integers(1, 300).map(str),
+    st.integers(-300, 300).map(str),
+    st.just(""),
+    # no decimal digits, so a junk token never reads as a large target
+    st.text(st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters=","), max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tokens=st.lists(TARGET_TOKENS, max_size=6))
+def test_construct_targets_build_a_verified_pair_or_are_rejected(tmp_path_factory, tokens):
+    folder = tmp_path_factory.mktemp("construct")
+    # "--t=" keeps a list that starts with "-" from reading as an option
+    code, out, err = run_quiet("--json", "construct", f"--t={','.join(tokens)}", "--out", str(folder))
+    assert code in (0, 3) and err == ""
+    record = json.loads(out)
+    assert record["status"] == ("yes", "error")[code == 3]
+    if code == 0:
+        assert record["verified"] is True
