@@ -63,13 +63,11 @@ from .flows import (
     enumerate_flows,
     filter_flows,
     incidence_matrix,
-    is_flow,
 )
 from .graphs import (
     BUILTIN_NAMES,
     GraphFormatError,
     MultiDigraph,
-    SpanningStructure,
     builtin,
     dicycle,
     digon,

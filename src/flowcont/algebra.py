@@ -4,17 +4,19 @@ abelian groups.
 Everything here uses Python's arbitrary-precision integers, so there is no
 overflow at any input size; the one array, the cone table, holds term
 counts no larger than its length.  A group is a free rank plus a tuple of
-cyclic orders; an element is a plain tuple of ints, one per factor, with
-residues held in ``[0, order)``.  The trivial group is ``Group(0, ())``.  An
+cyclic orders, and it enters the package only through those orders: the
+flow enumerations and oracles reduce mod each order, and the decisions
+read only the exponent.  A flow is a tuple of residues, one
+``GroupElement`` per edge, each a tuple of ints with one residue in
+``[0, order)`` per factor.  The trivial group is ``Group(0, ())``.  An
 FFSet is a down-set of positive integers under divisibility, the shape
 of every flow-continuity set.  0 stands for Z, the exponent of a group
 with a free factor; gcd(n, g) == n tests "n divides g" for every n >= 0.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -51,41 +53,6 @@ class Group:
     @property
     def is_finite(self) -> bool:
         return self.free_rank == 0
-
-    def zero(self) -> GroupElement:
-        return (0,) * self.num_factors
-
-    def element(self, value) -> GroupElement:
-        """Coerce an int (single-factor groups only) or an int sequence.
-
-        Residue coordinates are reduced into [0, order).
-        """
-        if isinstance(value, int):
-            if self.num_factors != 1:
-                raise ValueError(f"plain int element needs a single-factor group, got {self}")
-            value = (value,)
-        coords = tuple(int(c) for c in value)
-        if len(coords) != self.num_factors:
-            raise ValueError(f"element needs {self.num_factors} coordinates, got {len(coords)}")
-        free = coords[: self.free_rank]
-        cyclic = tuple(c % n for c, n in zip(coords[self.free_rank :], self.orders))
-        return free + cyclic
-
-    def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.element(x + y for x, y in zip(a, b, strict=True))
-
-    def scale(self, k: int, a: GroupElement) -> GroupElement:
-        """Integer multiple k*a."""
-        return self.element(k * x for x in a)
-
-    def is_zero(self, a: GroupElement) -> bool:
-        return all(x == 0 for x in a)
-
-    def elements(self) -> Iterator[GroupElement]:
-        """All elements of a finite group, lexicographic in the residue tuple."""
-        if not self.is_finite:
-            raise ValueError("cannot enumerate an infinite group")
-        return itertools.product(*(range(n) for n in self.orders))
 
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z{n}" for n in self.orders]

@@ -49,12 +49,13 @@ def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None, budget: int):
     One pass over the non-loop source edges in index order.  A state is
     (g, open rows): the discrepancy rows of the source vertices that still
     have an edge to come, and the gcd g of the rows already closed, seeded
-    with n (or 0).  Sending edge i to target edge j adds row j of the
-    circuit matrix at i's tail and subtracts it at i's head.  After a
-    vertex's last edge its row is folded into g and dropped, and the open
-    entries are reduced mod g, which keeps the final gcd.  Equal states
-    have equal futures, so they are merged and their map counts added.  A
-    loop multiplies every count by |E(H)| and goes to target edge 0.
+    with n (0 for no n or one past 2Δ(G)).  Sending edge i to target edge
+    j adds row j of the circuit matrix at i's tail and subtracts it at i's
+    head.  After a vertex's last edge its row is folded into g and
+    dropped, and the open entries are reduced mod g, which keeps the final
+    gcd.  Equal states have equal futures, so they are merged and their
+    map counts added.  A loop multiplies every count by |E(H)| and goes to
+    target edge 0.
 
     Candidates come in target edge order and merged states keep the order
     they were first reached in, so each state's first arrival is its
@@ -85,6 +86,10 @@ def _frontier(g: MultiDigraph, h: MultiDigraph, n: int | None, budget: int):
     order = np.argsort(first)
     first, multiplicity = first[order], multiplicity[order]
     delta = g.max_degree()
+    # past 2 * Δ(G) residues mod n are injective on the entries' range
+    # [-Δ, Δ], so the pass seeded at n makes the same states as at n = 0
+    if n is not None and n > 2 * delta:
+        n = 0
     entry = np.int16 if max(n or 0, delta) + delta < 2**15 else np.int64
     rows = rows[order].astype(entry)
     width = rows.shape[1]
@@ -268,10 +273,7 @@ def exists_ff_map(
         witness = _digon_witness(g, h, *parts, n)
         return SearchOutcome("none" if witness is None else "found", witness, 0)
 
-    # past 2 * Δ(G) residues mod n are injective on the entries' range
-    # [-Δ, Δ], so the pass seeded at n makes the same states as at n = 0
-    seed = n if n <= 2 * g.max_degree() else 0
-    histogram, witness, nodes, _ = _frontier(g, h, seed, budget)
+    histogram, witness, nodes, _ = _frontier(g, h, n, budget)
     if histogram is None:
         return SearchOutcome("unknown", None, nodes)
     if witness is None:

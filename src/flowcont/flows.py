@@ -3,9 +3,9 @@
 A group vector assigns one group element to every edge.  Flows satisfy
 Kirchhoff's law at each vertex.  Over any coefficient group the
 fundamental circuit vectors of a digraph generate the full flow space
-(the incidence matrix is totally unimodular); ``filter_flows`` exists
-purely to validate that fact against the definition, so the two must
-never be merged.
+(the incidence matrix is totally unimodular).  ``filter_flows`` is the
+one definitional Kirchhoff check: it tests every vector against the law,
+purely to validate that fact, so the two must never be merged.
 
 Enumerations run on integer arrays.  A batch decodes at most BATCH
 consecutive indices of a mixed radix (the group orders, once per circuit
@@ -18,7 +18,7 @@ vector budget (default 10**7).
 """
 
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -53,31 +53,12 @@ def incidence_matrix(g: MultiDigraph) -> np.ndarray:
 
 def circuit_matrix(g: MultiDigraph) -> np.ndarray:
     """Edge-by-circuit matrix of fundamental circuit coefficients (int8: -1, 0, 1)."""
-    circuits = spanning_structure(g).circuits
+    circuits = spanning_structure(g)
     mat = np.zeros((g.num_edges, len(circuits)), dtype=np.int8)
     for j, steps in enumerate(circuits):
         for edge, sign in steps:
             mat[edge, j] = sign
     return mat
-
-
-def is_flow(g: MultiDigraph, phi: Sequence, m: Group) -> bool:
-    """Kirchhoff's law at every vertex: out-sum equals in-sum in m.
-
-    A loop contributes to both sides and therefore cancels.  Coordinates
-    are added as plain ints and each vertex sum is reduced once.
-    """
-    if len(phi) != g.num_edges:
-        raise ValueError(f"vector has {len(phi)} entries, graph has {g.num_edges} edges")
-    sums = [[0] * m.num_factors for _ in range(g.vertex_count)]
-    for value, (tail, head) in zip(phi, g.edges):
-        coords = (value,) if isinstance(value, int) else value
-        if len(coords) != m.num_factors:
-            raise ValueError(f"element needs {m.num_factors} coordinates, got {len(coords)}")
-        for k, x in enumerate(coords):
-            sums[tail][k] += x
-            sums[head][k] -= x
-    return all(m.is_zero(m.element(s)) for s in sums)
 
 
 def _require_finite(m: Group) -> None:
@@ -146,8 +127,9 @@ def enumerate_flows(
 ) -> Iterator[GroupVector]:
     """All m-flows on g, as coefficient combinations of fundamental circuits.
 
-    Exactly |m| ** cyclomatic_number distinct vectors, in lexicographic
-    order of the coefficient tuples (cyclic factors ordered as given).
+    Exactly |m| ** len(spanning_structure(g)) distinct vectors, in
+    lexicographic order of the coefficient tuples (cyclic factors ordered
+    as given).
     """
     for batch in _flow_batches(g, m, budget):
         yield from _vectors(batch)

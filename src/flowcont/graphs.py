@@ -54,27 +54,6 @@ class MultiDigraph:
         return max(ends, default=0)
 
 
-@dataclass(frozen=True)
-class SpanningStructure:
-    """The fundamental circuits of a deterministic spanning forest, one per
-    non-forest edge.
-
-    ``circuits[j]`` lists the ``(edge, sign)`` steps of circuit j: its
-    non-forest edge at +1, then the edges of the forest path from that
-    edge's head back to its tail, each at +1/-1 according to traversal
-    direction.  A loop is its own circuit of length 1.  Circuits are
-    listed by increasing non-forest edge index, so the first steps name
-    the non-forest edges and the number of circuits is the cyclomatic
-    number ``|E| - |V| + components``.
-    """
-
-    circuits: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def cyclomatic_number(self) -> int:
-        return len(self.circuits)
-
-
 def parse_digraph(text: str) -> MultiDigraph:
     """Parse the "V E" text format; see the module docstring."""
     rows: list[list[str]] = []
@@ -179,13 +158,21 @@ def disjoint_union(parts: Iterable[MultiDigraph]) -> MultiDigraph:
     return MultiDigraph(vertex_count, tuple(edges))
 
 
-def spanning_structure(g: MultiDigraph) -> SpanningStructure:
-    """Spanning forest by lowest-index-first growth, plus fundamental circuits.
+def spanning_structure(g: MultiDigraph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The fundamental circuits of the spanning forest grown lowest index
+    first, one per non-forest edge.
+
+    Circuit j lists its ``(edge, sign)`` steps: its non-forest edge at +1,
+    then the forest edges of the path from that edge's head back to its
+    tail, each at +1/-1 according to traversal direction.  A loop is its
+    own circuit of length 1.  Circuits are listed by increasing non-forest
+    edge index, so their first steps name the non-forest edges and their
+    number is the cyclomatic number ``|E| - |V| + components``.
 
     One pass roots each tree of the forest, recording every vertex's
     parent, the edge up to it and its depth; a circuit then walks from its
-    edge's head and tail up to their common ancestor.  Deterministic: equal
-    graphs always produce identical structures.
+    edge's head and tail up to their common ancestor, deeper end first.
+    Deterministic: equal graphs always produce identical circuits.
     """
     root = list(range(g.vertex_count))
 
@@ -230,5 +217,5 @@ def spanning_structure(g: MultiDigraph) -> SpanningStructure:
                 e, w = parent_edge[w], parent[w]
                 steps.append((e, 1 if g.edges[e][0] == w else -1))
         circuits.append(tuple(steps))
-    return SpanningStructure(tuple(circuits))
+    return tuple(circuits)
 

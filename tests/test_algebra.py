@@ -56,28 +56,6 @@ def test_order_and_finiteness():
     assert not Group(1).is_finite
 
 
-def test_element_coercion_and_arithmetic():
-    m = parse_group("Z2xZ3")
-    assert m.zero() == (0, 0)
-    assert m.element((5, -1)) == (1, 2)
-    assert m.add((1, 2), (1, 2)) == (0, 1)
-    assert m.scale(-1, (1, 1)) == (1, 2)
-    assert m.scale(4, (1, 1)) == (0, 1)
-    assert m.is_zero((0, 0)) and not m.is_zero((1, 0))
-    single = parse_group("Z5")
-    assert single.element(7) == (2,)  # bare int accepted for one factor
-    assert Group(1).element(-3) == (-3,)
-    assert Group(1).scale(-1, (4,)) == (-4,)
-
-
-def test_elements_enumeration():
-    m = parse_group("Z2xZ2")
-    assert list(m.elements()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert list(Group().elements()) == [()]
-    with pytest.raises(ValueError):
-        list(Group(1).elements())
-
-
 def test_direct_product():
     m = direct_product(parse_group("Z"), parse_group("Z2xZ3"))
     assert m.free_rank == 1
@@ -135,14 +113,3 @@ def test_next_prime_above():
     assert next_prime_above(16) == 17
     assert next_prime_above(20) == 23
     assert next_prime_above(89) == 97
-
-
-
-def test_scale_matches_repeated_addition():
-    m = parse_group("Z2xZ5")
-    x = m.element((1, 3))
-    total = m.zero()
-    for k in range(7):
-        assert m.scale(k, x) == total
-        total = m.add(total, x)
-    assert m.scale(-2, x) == m.scale(-1, m.scale(2, x))

@@ -284,7 +284,7 @@ def dense_discrepancy(f):
     push = np.zeros((g.num_edges, h.num_edges), dtype=np.int64)
     for i, j in enumerate(f.assignment):
         push[i, j] = 1
-    circuits = spanning_structure(h).circuits
+    circuits = spanning_structure(h)
     circ = np.zeros((h.num_edges, len(circuits)), dtype=np.int64)
     for c, steps in enumerate(circuits):
         for edge, sign in steps:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +10,6 @@ from flowcont.flows import (
     enumerate_flows,
     filter_flows,
     incidence_matrix,
-    is_flow,
 )
 from flowcont.graphs import MultiDigraph, dicycle, digon, disjoint_union, k4, loop, petersen
 
@@ -43,39 +43,23 @@ def test_incidence_orthogonal_to_circuits():
 
 def test_star_tensions_are_tensions():
     # a tension sums to zero in the group around every circuit
-    m = parse_group("Z6")
     for g in (digon(3), dicycle(4), k4()):
         product = incidence_matrix(g) @ circuit_matrix(g)
-        assert all(m.is_zero(m.element(int(x))) for x in product.flat)
+        assert not (product % 6).any()
 
 
-def test_is_flow_dicycle_constants():
-    g = dicycle(3)
-    m = parse_group("Z4")
-    assert is_flow(g, (1, 1, 1), m)
-    assert is_flow(g, (0, 0, 0), m)
-    assert not is_flow(g, (1, 2, 1), m)
+def test_dicycle_flows_are_the_constants():
+    assert list(filter_flows(dicycle(3), parse_group("Z4"))) == [((a,),) * 3 for a in range(4)]
 
 
-def test_is_flow_digon_balances():
-    g = digon(2)
-    m = parse_group("Z5")
-    assert is_flow(g, (2, 3), m)
-    assert not is_flow(g, (2, 2), m)
+def test_digon_flows_balance():
+    # both edges leave vertex 0, so their values sum to 0
+    expected = [((a,), (-a % 5,)) for a in range(5)]
+    assert list(filter_flows(digon(2), parse_group("Z5"))) == expected
 
 
 def test_loop_carries_any_flow_value():
-    m = parse_group("Z7")
-    for value in range(7):
-        assert is_flow(loop(), (value,), m)
-
-
-def test_flow_dimension_mismatch():
-    with pytest.raises(ValueError):
-        is_flow(digon(2), (1,), parse_group("Z2"))
-    # an entry with the wrong number of coordinates
-    with pytest.raises(ValueError):
-        is_flow(digon(2), ((1, 0), (1, 0)), parse_group("Z2"))
+    assert list(filter_flows(loop(), parse_group("Z7"))) == [((value,),) for value in range(7)]
 
 
 def test_enumerate_flows_count_is_group_power_cyclomatic():
@@ -83,8 +67,9 @@ def test_enumerate_flows_count_is_group_power_cyclomatic():
     flows = list(enumerate_flows(k4(), m))
     assert len(flows) == 3**3
     assert len(set(flows)) == len(flows)
-    for phi in flows:
-        assert is_flow(k4(), phi, m)
+    # Kirchhoff's law at every vertex, in residues mod 3
+    sums = incidence_matrix(k4()) @ np.array(flows)[:, :, 0].T
+    assert not (sums % 3).any()
 
 
 def test_enumerate_equals_filter_on_small_cases():
